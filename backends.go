@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/ising-machines/saim/internal/anneal"
 	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/exact"
@@ -83,22 +82,21 @@ func heuristicPenalty(m *Model, alpha float64) float64 {
 	return core.HeuristicPenalty(m.inner, alpha)
 }
 
-// initialBits validates a WithInitial assignment against the model (length
-// and 0/1 entries), returning nil when no warm start was requested.
 // checkpointAdapter bridges an internal best-so-far stream to the public
 // WithCheckpoint callback. The internal engines pass live bit buffers;
 // fromBits copies into a fresh []int, making the public slice safe to
-// retain. scale rescales costs out of a normalized energy frame (1 for
-// backends that anneal raw energies).
-func checkpointAdapter(f func(assignment []int, cost float64), scale float64) func(ising.Bits, float64) {
+// retain.
+func checkpointAdapter(f func(assignment []int, cost float64)) func(ising.Bits, float64) {
 	if f == nil {
 		return nil
 	}
 	return func(best ising.Bits, cost float64) {
-		f(fromBits(best), cost*scale)
+		f(fromBits(best), cost)
 	}
 }
 
+// initialBits validates a WithInitial assignment against the model (length
+// and 0/1 entries), returning nil when no warm start was requested.
 func initialBits(m *Model, cfg config) (ising.Bits, error) {
 	if cfg.initial == nil {
 		return nil, nil
@@ -109,9 +107,9 @@ func initialBits(m *Model, cfg config) (ising.Bits, error) {
 // ---------------------------------------------------------------- saim ---
 
 // saimSolver is the paper's self-adaptive Ising machine (Algorithm 1). It
-// accepts every model form: the quadratic machine for constrained models,
-// plain multi-run annealing for unconstrained QUBOs, and the higher-order
-// machine for polynomial models.
+// accepts every model form: the core engine runs constrained models and
+// unconstrained QUBOs (an empty constraint system, so plain multi-run
+// annealing), and the higher-order machine runs polynomial models.
 type saimSolver struct{}
 
 func (*saimSolver) Name() string        { return "saim" }
@@ -128,19 +126,13 @@ func (s *saimSolver) Solve(ctx context.Context, m *Model, opts ...Option) (*Resu
 		res *Result
 		err error
 	)
-	switch m.form {
-	case FormConstrained:
-		res, err = s.solveConstrained(ctx, m, cfg)
-	case FormUnconstrained:
+	if m.form == FormHighOrder {
 		if cfg.replicas > 1 {
-			return nil, fmt.Errorf("saim: WithReplicas is only supported for constrained models (model form %v)", m.form)
-		}
-		res, err = s.solveUnconstrained(ctx, m, cfg)
-	default:
-		if cfg.replicas > 1 {
-			return nil, fmt.Errorf("saim: WithReplicas is only supported for constrained models (model form %v)", m.form)
+			return nil, fmt.Errorf("saim: WithReplicas is only supported for quadratic models (model form %v)", m.form)
 		}
 		res, err = s.solveHighOrder(ctx, m, cfg)
+	} else {
+		res, err = s.solveQuadratic(ctx, m, cfg)
 	}
 	if err != nil {
 		return nil, err
@@ -149,12 +141,13 @@ func (s *saimSolver) Solve(ctx context.Context, m *Model, opts ...Option) (*Resu
 	return res, nil
 }
 
-func (s *saimSolver) solveConstrained(ctx context.Context, m *Model, cfg config) (*Result, error) {
+// coreOptions lowers the shared options onto the core engine's.
+func coreOptions(name string, m *Model, cfg config) (core.Options, error) {
 	init, err := initialBits(m, cfg)
 	if err != nil {
-		return nil, err
+		return core.Options{}, err
 	}
-	o := core.Options{
+	return core.Options{
 		Alpha:        cfg.alpha,
 		P:            cfg.penalty,
 		Eta:          cfg.eta,
@@ -164,11 +157,23 @@ func (s *saimSolver) solveConstrained(ctx context.Context, m *Model, cfg config)
 		Seed:         cfg.seed,
 		Machine:      cfg.machine,
 		Packed:       cfg.packed,
-		Progress:     progressAdapter("saim", cfg.progress),
+		Progress:     progressAdapter(name, cfg.progress),
 		TargetCost:   cfg.targetCost,
 		Patience:     cfg.patience,
 		Initial:      init,
-		Checkpoint:   checkpointAdapter(cfg.checkpoint, 1),
+		Checkpoint:   checkpointAdapter(cfg.checkpoint),
+	}, nil
+}
+
+// solveQuadratic runs Algorithm 1 on the core engine. Unconstrained
+// models keep their own default budget of 100 runs.
+func (s *saimSolver) solveQuadratic(ctx context.Context, m *Model, cfg config) (*Result, error) {
+	o, err := coreOptions("saim", m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if m.form == FormUnconstrained {
+		o.Iterations = orDefault(o.Iterations, 100)
 	}
 	var res *core.Result
 	if cfg.replicas > 1 {
@@ -190,61 +195,6 @@ func (s *saimSolver) solveConstrained(ctx context.Context, m *Model, cfg config)
 		Lambda:        append([]float64(nil), res.Lambda...),
 		Stopped:       res.Stopped,
 	}, nil
-}
-
-func (s *saimSolver) solveUnconstrained(ctx context.Context, m *Model, cfg config) (*Result, error) {
-	init, err := initialBits(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	normalized := m.rawObj.Clone()
-	inv := normalized.Normalize() // argmin-preserving rescale so βmax=10 suits any data
-	// The annealer observes normalized energies; rescale the target into
-	// that frame and progress costs back out of it.
-	var target *float64
-	if cfg.targetCost != nil {
-		t := *cfg.targetCost * inv
-		target = &t
-	}
-	prog := progressAdapter("saim", cfg.progress)
-	costScale := 1.0
-	if inv > 0 {
-		costScale = 1 / inv
-	}
-	if prog != nil && inv > 0 {
-		inner, scale := prog, costScale
-		prog = func(p core.ProgressInfo) {
-			if !math.IsInf(p.BestCost, 0) {
-				p.BestCost *= scale
-			}
-			inner(p)
-		}
-	}
-	res := anneal.MinimizeQUBOContext(ctx, normalized, anneal.Options{
-		Runs:         orDefault(cfg.iterations, 100),
-		SweepsPerRun: orDefault(cfg.sweepsPerRun, 1000),
-		BetaMax:      orDefaultF(cfg.betaMax, 10),
-		Seed:         cfg.seed,
-		Machine:      cfg.machine,
-		Progress:     prog,
-		TargetCost:   target,
-		Patience:     cfg.patience,
-		Initial:      init,
-		Checkpoint:   checkpointAdapter(cfg.checkpoint, costScale),
-	})
-	out := &Result{
-		Solver:        "saim",
-		Cost:          math.Inf(1),
-		FeasibleRatio: 100,
-		Sweeps:        res.TotalSweeps,
-		Iterations:    res.Runs,
-		Stopped:       res.Stopped,
-	}
-	if res.Best != nil {
-		out.Assignment = fromBits(res.Best)
-		out.Cost = m.rawObj.Energy(res.Best)
-	}
-	return out, nil
 }
 
 func (s *saimSolver) solveHighOrder(ctx context.Context, m *Model, cfg config) (*Result, error) {
@@ -283,7 +233,8 @@ func (s *saimSolver) solveHighOrder(ctx context.Context, m *Model, cfg config) (
 
 // penaltySolver is the classical fixed-P penalty method: multi-run
 // annealing on E = f + P‖g‖² with no multiplier adaptation — the baseline
-// SAIM is compared against throughout the paper.
+// SAIM is compared against throughout the paper. It runs the saim
+// backend's engine with η pinned to 0.
 type penaltySolver struct{}
 
 func (*penaltySolver) Name() string        { return "penalty" }
@@ -294,31 +245,19 @@ func (s *penaltySolver) Solve(ctx context.Context, m *Model, opts ...Option) (*R
 		return nil, err
 	}
 	cfg := buildConfig(opts)
-	pw := cfg.penalty
-	if pw == 0 {
-		pw = heuristicPenalty(m, orDefaultF(cfg.alpha, 2))
-	}
-	if pw <= 0 {
-		return nil, fmt.Errorf("saim: penalty weight must be positive, got %v", pw)
-	}
-	init, err := initialBits(m, cfg)
+	o, err := coreOptions("penalty", m, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if o.P == 0 {
+		o.P = heuristicPenalty(m, orDefaultF(cfg.alpha, 2))
+	}
+	if o.P <= 0 {
+		return nil, fmt.Errorf("saim: penalty weight must be positive, got %v", o.P)
+	}
 	ctx, cancel, stamp := deadline(ctx, cfg)
 	defer cancel()
-	res, err := anneal.SolvePenaltyContext(ctx, m.inner, pw, anneal.Options{
-		Runs:         orDefault(cfg.iterations, 2000),
-		SweepsPerRun: orDefault(cfg.sweepsPerRun, 1000),
-		BetaMax:      orDefaultF(cfg.betaMax, 10),
-		Seed:         cfg.seed,
-		Machine:      cfg.machine,
-		Progress:     progressAdapter("penalty", cfg.progress),
-		TargetCost:   cfg.targetCost,
-		Patience:     cfg.patience,
-		Initial:      init,
-		Checkpoint:   checkpointAdapter(cfg.checkpoint, 1),
-	})
+	res, err := core.SolvePenaltyContext(ctx, m.inner, o)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +268,7 @@ func (s *penaltySolver) Solve(ctx context.Context, m *Model, opts ...Option) (*R
 		FeasibleRatio: res.FeasibleRatio(),
 		Penalty:       res.P,
 		Sweeps:        res.TotalSweeps,
-		Iterations:    res.Runs,
+		Iterations:    res.Iterations,
 		Stopped:       stamp(res.Stopped),
 	}, nil
 }

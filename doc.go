@@ -57,9 +57,11 @@
 // fan-out — and cmd/saimserve exposes it over HTTP/JSON with SSE progress
 // streaming.
 //
-// The pre-registry entry points (Solve, SolvePenaltyMethod, Minimize,
-// SolveHighOrder, SolveParallel) remain as thin deprecated wrappers over
-// the unified API.
+// One annealing engine serves the quadratic forms: "saim" runs
+// constrained and unconstrained models on it (an unconstrained model is a
+// problem with no constraint rows), and "penalty" is the same engine with
+// the multiplier step η pinned to 0. WithReplicas merges independent
+// restarts for both quadratic forms.
 //
 // # The declarative layer
 //

@@ -130,22 +130,26 @@ func ExampleBuilder_ConstrainPolyEQ() {
 	// Output: high-order 1 1 -1
 }
 
-// The deprecated pre-registry wrappers still compile and run on top of the
-// unified API.
-func ExampleSolve() {
+// Model freezes a Builder into a validated Model; its form picks the solve
+// path, here one linear inequality on three variables.
+func ExampleBuilder_Model() {
 	b := saim.NewBuilder(3)
 	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
 	b.ConstrainLE([]float64{2, 3, 4}, 5)
-	problem, err := b.Build()
+	model, err := b.Model()
 	if err != nil {
 		panic(err)
 	}
-	res, err := saim.Solve(problem, saim.Options{
-		Iterations: 150, SweepsPerRun: 150, Eta: 1, Seed: 1,
-	})
+	fmt.Println(model.Form(), model.N(), model.NumConstraints())
+	res, err := saim.SolveModel(context.Background(), "saim", model,
+		saim.WithIterations(150), saim.WithSweepsPerRun(150),
+		saim.WithEta(1), saim.WithSeed(1),
+	)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(res.Assignment, res.Cost)
-	// Output: [1 1 0] -11
+	// Output:
+	// constrained 3 1
+	// [1 1 0] -11
 }

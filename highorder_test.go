@@ -5,17 +5,17 @@ import "testing"
 // Same scenario as the hoim package test, through the public API: minimize
 // −x₂−x₃ s.t. x₀·x₁ = 1 (quadratic constraint!) and Σx = 3 ⇒ OPT −1.
 func TestSolveHighOrderQuadraticConstraint(t *testing.T) {
-	objective := []Monomial{{W: -1, Vars: []int{2}}, {W: -1, Vars: []int{3}}}
-	constraints := [][]Monomial{
-		{{W: 1, Vars: []int{0, 1}}, {W: -1}},
-		{{W: 1, Vars: []int{0}}, {W: 1, Vars: []int{1}}, {W: 1, Vars: []int{2}}, {W: 1, Vars: []int{3}}, {W: -3}},
+	b := NewBuilder(4)
+	b.Term(-1, 2).Term(-1, 3)
+	b.ConstrainPolyEQ(Monomial{W: 1, Vars: []int{0, 1}}, Monomial{W: -1})
+	b.ConstrainPolyEQ(Monomial{W: 1, Vars: []int{0}}, Monomial{W: 1, Vars: []int{1}},
+		Monomial{W: 1, Vars: []int{2}}, Monomial{W: 1, Vars: []int{3}}, Monomial{W: -3})
+	m := mustModel(t, b)
+	if m.Form() != FormHighOrder {
+		t.Fatalf("form = %v, want high-order", m.Form())
 	}
-	res, err := SolveHighOrder(4, objective, constraints, Options{
-		Penalty: 2, Eta: 0.5, Iterations: 150, SweepsPerRun: 150, BetaMax: 8, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, "saim", m, WithPenalty(2), WithEta(0.5), WithIterations(150),
+		WithSweepsPerRun(150), WithBetaMax(8), WithSeed(9))
 	if res.Infeasible() {
 		t.Fatal("no feasible assignment")
 	}
@@ -31,19 +31,15 @@ func TestSolveHighOrderQuadraticConstraint(t *testing.T) {
 }
 
 func TestSolveHighOrderValidation(t *testing.T) {
-	if _, err := SolveHighOrder(0, nil, nil, Options{}); err == nil {
+	if _, err := NewBuilder(0).ConstrainPolyEQ(Monomial{W: 1}).Model(); err == nil {
 		t.Fatal("accepted n=0")
 	}
-	if _, err := SolveHighOrder(2, nil, nil, Options{}); err == nil {
-		t.Fatal("accepted zero constraints")
-	}
-	bad := [][]Monomial{{{W: 1, Vars: []int{7}}}}
-	if _, err := SolveHighOrder(2, nil, bad, Options{}); err == nil {
+	if _, err := NewBuilder(2).ConstrainPolyEQ(Monomial{W: 1, Vars: []int{7}}).Model(); err == nil {
 		t.Fatal("accepted out-of-range variable")
 	}
-	badObj := []Monomial{{W: 1, Vars: []int{-1}}}
-	okCon := [][]Monomial{{{W: 1, Vars: []int{0}}}}
-	if _, err := SolveHighOrder(2, badObj, okCon, Options{}); err == nil {
+	b := NewBuilder(2)
+	b.Term(1, -1).ConstrainPolyEQ(Monomial{W: 1, Vars: []int{0}})
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted negative variable index")
 	}
 }

@@ -8,7 +8,7 @@
 // Any drift — a new bounds check the compiler stopped eliminating, or a
 // stale allowlist after an improvement — fails the audit; regenerate the
 // allowlists with SAIM_BCE_UPDATE=1 after verifying the change is
-// intentional (BENCH_PR9-class wins live and die by these checks).
+// intentional (the packed kernels' wins live and die by these checks).
 //
 // The build cache replays compiler diagnostics on cache hits, so the
 // audit stays cheap in repeated local runs.

@@ -1,16 +1,17 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/ising"
 )
 
 // The engine contract: once a solve is warmed up (machine built, scratch
-// sized, dual history reserved, best buffer allocated on the first
-// improvement), additional SAIM iterations must not touch the heap. The
-// test measures whole solves at two iteration budgets — every per-solve
-// allocation appears in both, so any difference is per-iteration garbage.
+// sized, best buffer allocated on the first improvement), additional SAIM
+// iterations must not touch the heap. The test measures whole solves at
+// two iteration budgets — every per-solve allocation appears in both, so
+// any difference is per-iteration garbage.
 func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 	p, _ := knapsackProblem(
 		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)
@@ -98,8 +99,8 @@ func TestSolveMachineKindsAgree(t *testing.T) {
 		t.Fatalf("auto kernel diverged: %v/%d vs %v/%d",
 			auto.BestCost, auto.FeasibleCount, dense.BestCost, dense.FeasibleCount)
 	}
-	if auto.DualBest != dense.DualBest {
-		t.Fatalf("auto dual %v vs dense %v", auto.DualBest, dense.DualBest)
+	if !slices.Equal(auto.Lambda, dense.Lambda) {
+		t.Fatalf("auto λ %v vs dense %v", auto.Lambda, dense.Lambda)
 	}
 }
 
@@ -125,8 +126,7 @@ func TestEngineReuseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused.BestCost != fresh.BestCost || reused.FeasibleCount != fresh.FeasibleCount ||
-		reused.DualBest != fresh.DualBest {
+	if reused.BestCost != fresh.BestCost || reused.FeasibleCount != fresh.FeasibleCount {
 		t.Fatalf("reused engine diverged from fresh: %+v vs %+v", reused, fresh)
 	}
 	for i := range reused.Lambda {

@@ -22,6 +22,11 @@
 // biases, built once per problem) driving per-worker engines that own one
 // long-lived machine plus all hot-loop scratch; a steady-state SAIM
 // iteration performs zero heap allocations (see DESIGN.md §5.3).
+//
+// The same engine runs the paper's baselines: the classical penalty
+// method is Algorithm 1 with η pinned to 0 (SolvePenaltyContext), and an
+// unconstrained QUBO is a Problem with an empty constraint system (M = 0),
+// whose energy is the objective itself.
 package core
 
 import (
@@ -52,12 +57,10 @@ type Machine interface {
 	Sweeps() int64
 }
 
-// BufferedAnnealer is the optional fast path of Machine: a run that writes
+// bufferedAnnealer is the optional fast path of Machine: a run that writes
 // its final state into a caller-owned buffer. Both pbit machines implement
-// it; custom machines fall back to the allocating Anneal. It is the single
-// definition of this contract — internal/anneal type-asserts against it
-// too, so a signature change breaks loudly at every call site.
-type BufferedAnnealer interface {
+// it; custom machines fall back to the allocating Anneal.
+type bufferedAnnealer interface {
 	AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
 }
 
@@ -69,11 +72,11 @@ type reseedable interface {
 	Reseed(src *rng.Source)
 }
 
-// WarmStartable is the optional warm-start contract of Machine: a machine
+// warmStartable is the optional warm-start contract of Machine: a machine
 // that can adopt an explicit configuration and continue annealing from it
 // instead of re-randomizing. Both pbit machines implement it; custom
 // machines without it silently fall back to a cold (random) first run.
-type WarmStartable interface {
+type warmStartable interface {
 	SetState(ising.Spins)
 	AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
 }
@@ -385,13 +388,13 @@ type Trace struct {
 	Energy []float64
 }
 
-func (t *Trace) record(cost float64, feasible bool, lam vecmat.Vec, energy float64) {
+// record appends iteration k's sample. L_k(x_k) = E(x_k) + λᵀg(x_k) costs a
+// full energy evaluation, so it is computed here, only for traced solves.
+func (t *Trace) record(pr *program, cost float64, feasible bool, lam *lagrange.Multipliers, x ising.Bits, g vecmat.Vec) {
 	t.Cost = append(t.Cost, cost)
 	t.Feasible = append(t.Feasible, feasible)
-	lc := make([]float64, len(lam))
-	copy(lc, lam)
-	t.Lambda = append(t.Lambda, lc)
-	t.Energy = append(t.Energy, energy)
+	t.Lambda = append(t.Lambda, lam.Values.Clone())
+	t.Energy = append(t.Energy, pr.energy.Energy(x)+lam.Values.Dot(g))
 }
 
 // Result is the outcome of a SAIM solve.
@@ -411,9 +414,6 @@ type Result struct {
 	P float64
 	// Lambda is the final multiplier vector.
 	Lambda vecmat.Vec
-	// DualBest is the largest measured L(x_k), a heuristic estimate of the
-	// optimal dual bound M_D (−Inf when no iteration ran).
-	DualBest float64
 	// Stopped records why the solve returned (budget spent, context
 	// cancelled, target cost reached, or patience exhausted).
 	Stopped StopReason
@@ -461,7 +461,10 @@ type program struct {
 }
 
 // compile validates the problem and builds the energy model once.
-// E = f + P‖g‖²; λ terms only touch h afterwards.
+// E = f + P‖g‖²; λ terms only touch h afterwards. Without constraint rows
+// E = f and P is unused (reported as 0), so the density probe and the
+// energy copy are skipped; nothing in a program is mutated, so sharing f
+// is safe.
 func compile(p *Problem, opts Options) (*program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -470,14 +473,17 @@ func compile(p *Problem, opts Options) (*program, error) {
 	if len(o.Initial) > 0 && len(o.Initial) != p.Ext.NOrig {
 		return nil, fmt.Errorf("core: initial assignment length %d, want %d", len(o.Initial), p.Ext.NOrig)
 	}
-	pen := o.P
-	if pen == 0 {
-		pen = HeuristicPenalty(p, o.Alpha)
+	energy, pen := p.Objective, 0.0
+	if p.Ext.M() > 0 {
+		pen = o.P
+		if pen == 0 {
+			pen = HeuristicPenalty(p, o.Alpha)
+		}
+		if pen < 0 {
+			return nil, fmt.Errorf("core: negative penalty weight %v", pen)
+		}
+		energy = penalty.Build(p.Objective, p.Ext, pen)
 	}
-	if pen < 0 {
-		return nil, fmt.Errorf("core: negative penalty weight %v", pen)
-	}
-	energy := penalty.Build(p.Objective, p.Ext, pen)
 	model := energy.ToIsing()
 	return &program{
 		prob:   p,
@@ -501,7 +507,6 @@ type engine struct {
 	machine Machine
 	lam     *lagrange.Multipliers
 	step    lagrange.StepSchedule
-	dual    lagrange.DualTracker
 
 	// Hot-loop scratch, sized once at engine construction.
 	biasDelta vecmat.Vec
@@ -558,10 +563,8 @@ func (e *engine) solve(ctx context.Context, seed uint64, trace *Trace, progress 
 		e.machine = o.Factory(e.model, src.Split())
 	}
 	e.lam.Reset()
-	e.dual.Reset()
-	e.dual.Reserve(o.Iterations)
 	startSweeps := e.machine.Sweeps()
-	buffered, _ := e.machine.(BufferedAnnealer)
+	buffered, _ := e.machine.(bufferedAnnealer)
 
 	res := &Result{BestCost: math.Inf(1), P: pr.pen}
 	sinceImprove := 0
@@ -628,12 +631,8 @@ func (e *engine) solve(ctx context.Context, seed uint64, trace *Trace, progress 
 			}
 		}
 
-		// Measured dual value L_k(x_k) = E(x_k) + λᵀg(x_k) for diagnostics
-		// and traces.
-		lk := pr.energy.Energy(e.x) + e.lam.Values.Dot(e.g)
-		e.dual.Record(lk)
 		if trace != nil {
-			trace.record(cost, feasible, e.lam.Values, lk)
+			trace.record(pr, cost, feasible, e.lam, e.x, e.g)
 		}
 
 		// λ ← λ + η_k g(x_k).
@@ -661,7 +660,6 @@ func (e *engine) solve(ctx context.Context, seed uint64, trace *Trace, progress 
 	}
 	res.TotalSweeps = e.machine.Sweeps() - startSweeps
 	res.Lambda = e.lam.Values.Clone()
-	res.DualBest = e.dual.Best()
 	return res, nil
 }
 
@@ -672,7 +670,7 @@ func (e *engine) solve(ctx context.Context, seed uint64, trace *Trace, progress 
 // the caller on the cold-start path — when the machine does not support
 // adopting a state.
 func (e *engine) annealFromInitial(o Options) bool {
-	wm, ok := e.machine.(WarmStartable)
+	wm, ok := e.machine.(warmStartable)
 	if !ok {
 		return false
 	}
@@ -702,5 +700,19 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	return pr.newEngine().solve(ctx, pr.o.Seed, pr.o.Trace, pr.o.Progress)
+}
+
+// SolvePenaltyContext runs the classical penalty method, the baseline the
+// paper compares SAIM against: Algorithm 1 with η pinned to 0, so λ stays
+// zero and every run anneals the fixed energy E = f + P‖g‖² (P from
+// Options.P, else the α·d·N heuristic). Options.Eta and EtaDecayPower are
+// ignored. Cancellation behaves as in SolveContext.
+func SolvePenaltyContext(ctx context.Context, p *Problem, opts Options) (*Result, error) {
+	pr, err := compile(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	pr.o.Eta = 0
 	return pr.newEngine().solve(ctx, pr.o.Seed, pr.o.Trace, pr.o.Progress)
 }

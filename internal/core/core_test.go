@@ -49,6 +49,27 @@ func knapsackProblem(v, w []float64, capacity float64) (*Problem, float64) {
 	return &Problem{Objective: obj, Ext: ext, Cost: cost}, best
 }
 
+// unconstrainedProblem builds a random QUBO with integer weights as a
+// Problem with an empty constraint system (M = 0), the form unconstrained
+// models take; Cost is the QUBO energy itself.
+func unconstrainedProblem(n int, density float64, seed uint64) *Problem {
+	src := rng.New(seed)
+	obj := ising.NewQUBO(n)
+	for i := 0; i < n; i++ {
+		obj.AddLinear(i, float64(src.IntRange(-5, 5)))
+		for j := i + 1; j < n; j++ {
+			if src.Bool(density) {
+				obj.AddQuad(i, j, float64(src.IntRange(-5, 5)))
+			}
+		}
+	}
+	return &Problem{
+		Objective: obj,
+		Ext:       constraint.NewSystem(n).Extend(constraint.Binary),
+		Cost:      obj.Energy,
+	}
+}
+
 func TestSolveFindsKnapsackOptimum(t *testing.T) {
 	p, opt := knapsackProblem(
 		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)

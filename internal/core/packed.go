@@ -30,7 +30,6 @@ type packedEngine struct {
 	pk   pbit.PackedKernel
 	step lagrange.StepSchedule
 	lams [pbit.Lanes]*lagrange.Multipliers
-	dual [pbit.Lanes]lagrange.DualTracker
 
 	// Per-iteration scratch, shared across lanes (lanes are sampled
 	// sequentially within an iteration).
@@ -87,8 +86,6 @@ func (pe *packedEngine) solve(ctx context.Context, seeds []uint64, traces []*Tra
 		// Exactly the scalar stream: the machine consumes rng.New(seed).Split().
 		pe.pk.ReseedLane(r, rng.New(seed).Split())
 		pe.lams[r].Reset()
-		pe.dual[r].Reset()
-		pe.dual[r].Reserve(o.Iterations)
 	}
 
 	results := make([]*Result, count)
@@ -195,10 +192,8 @@ func (pe *packedEngine) solve(ctx context.Context, seeds []uint64, traces []*Tra
 				}
 			}
 
-			lk := pr.energy.Energy(pe.x) + pe.lams[r].Values.Dot(pe.g)
-			pe.dual[r].Record(lk)
 			if traces != nil && traces[r] != nil {
-				traces[r].record(cost, feasible, pe.lams[r].Values, lk)
+				traces[r].record(pr, cost, feasible, pe.lams[r], pe.x, pe.g)
 			}
 			pe.lams[r].UpdateScheduled(pe.g, pe.step)
 
@@ -236,7 +231,6 @@ func (pe *packedEngine) solve(ctx context.Context, seeds []uint64, traces []*Tra
 		// the same count a scalar machine's Sweeps() delta reports.
 		res.TotalSweeps = int64(res.Iterations) * int64(o.SweepsPerRun)
 		res.Lambda = pe.lams[r].Values.Clone()
-		res.DualBest = pe.dual[r].Best()
 	}
 	return results
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,9 +32,6 @@ func equalResults(t *testing.T, r int, got, want *Result) {
 	if got.TotalSweeps != want.TotalSweeps {
 		t.Errorf("replica %d: TotalSweeps %d, want %d", r, got.TotalSweeps, want.TotalSweeps)
 	}
-	if got.DualBest != want.DualBest {
-		t.Errorf("replica %d: DualBest %v, want %v", r, got.DualBest, want.DualBest)
-	}
 	if got.Stopped != want.Stopped {
 		t.Errorf("replica %d: Stopped %v, want %v", r, got.Stopped, want.Stopped)
 	}
@@ -58,11 +56,21 @@ func equalResults(t *testing.T, r int, got, want *Result) {
 // The engine-level pin of the tentpole: every lane of the packed engine
 // must reproduce, bit-for-bit, the Result the scalar engine produces for
 // the same replica seed — including lanes frozen early by patience while
-// their siblings keep sweeping.
+// their siblings keep sweeping. The unconstrained input (M = 0, a sparse
+// max-cut-like QUBO) pins the lifted replica path of unconstrained models.
 func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
-	p, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
-	for _, kind := range []MachineKind{MachineDense, MachineSparse} {
-		t.Run(kind.String(), func(t *testing.T) {
+	knap, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
+	for _, c := range []struct {
+		name string
+		p    *Problem
+		kind MachineKind
+	}{
+		{"dense", knap, MachineDense},
+		{"sparse", knap, MachineSparse},
+		{"unconstrained", unconstrainedProblem(24, 0.15, 5), MachineAuto},
+	} {
+		p, kind := c.p, c.kind
+		t.Run(c.name, func(t *testing.T) {
 			o := Options{
 				Iterations: 12, SweepsPerRun: 40, Eta: 0.5, Seed: 91,
 				Patience: 4, Machine: kind,
@@ -129,10 +137,10 @@ func TestSolveParallelPackedModeEquivalence(t *testing.T) {
 	for name, got := range map[string]*Result{"on": on, "auto": auto} {
 		if got.BestCost != off.BestCost || got.FeasibleCount != off.FeasibleCount ||
 			got.Iterations != off.Iterations || got.TotalSweeps != off.TotalSweeps ||
-			got.DualBest != off.DualBest {
+			!slices.Equal(got.Lambda, off.Lambda) {
 			t.Errorf("Packed %s merged %v/%d/%d/%d/%v, scalar %v/%d/%d/%d/%v", name,
-				got.BestCost, got.FeasibleCount, got.Iterations, got.TotalSweeps, got.DualBest,
-				off.BestCost, off.FeasibleCount, off.Iterations, off.TotalSweeps, off.DualBest)
+				got.BestCost, got.FeasibleCount, got.Iterations, got.TotalSweeps, got.Lambda,
+				off.BestCost, off.FeasibleCount, off.Iterations, off.TotalSweeps, off.Lambda)
 		}
 	}
 }
@@ -156,7 +164,7 @@ func TestSolveParallelPackedWarmStartEquivalence(t *testing.T) {
 	}
 	off, on := run(PackedOff), run(PackedOn)
 	if on.BestCost != off.BestCost || on.FeasibleCount != off.FeasibleCount ||
-		on.TotalSweeps != off.TotalSweeps || on.DualBest != off.DualBest {
+		on.TotalSweeps != off.TotalSweeps || !slices.Equal(on.Lambda, off.Lambda) {
 		t.Errorf("packed warm start diverged from scalar: %v/%d/%d vs %v/%d/%d",
 			on.BestCost, on.FeasibleCount, on.TotalSweeps,
 			off.BestCost, off.FeasibleCount, off.TotalSweeps)
@@ -309,7 +317,10 @@ func TestProgressAggregatorPanickingCallback(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("aggregator left locked after a callback panic")
 	}
-	if math.IsInf(agg.agg.BestCost, -1) {
+	agg.mu.Lock()
+	corrupted := math.IsInf(agg.agg.BestCost, -1)
+	agg.mu.Unlock()
+	if corrupted {
 		t.Fatal("aggregator state corrupted")
 	}
 }

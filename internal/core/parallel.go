@@ -253,7 +253,7 @@ feed:
 		}
 	}
 
-	merged := &Result{BestCost: math.Inf(1), DualBest: math.Inf(-1), P: pr.pen}
+	merged := &Result{BestCost: math.Inf(1), P: pr.pen}
 	ran := 0
 	for _, res := range results {
 		if res == nil {
@@ -273,9 +273,6 @@ feed:
 			merged.BestCost = res.BestCost
 			merged.Best = res.Best
 			merged.Lambda = res.Lambda
-		}
-		if res.DualBest > merged.DualBest {
-			merged.DualBest = res.DualBest
 		}
 	}
 	if merged.Lambda == nil {

@@ -88,40 +88,6 @@ func TestSolveParallelKeepsFirstTrace(t *testing.T) {
 	}
 }
 
-// The merge must take the true maximum of the replica dual bounds. The old
-// code special-cased zero and broke on all-negative duals (knapsack duals
-// are typically negative), reporting 0 instead of the max.
-func TestSolveParallelDualBestMerge(t *testing.T) {
-	p, _ := knapsackProblem([]float64{6, 5, 8, 9}, []float64{2, 3, 6, 7}, 10)
-	// Shift the energy down so every measured dual value is negative —
-	// exactly the regime the old `|| merged.DualBest == 0` merge broke in.
-	p.Objective.AddConst(-1000)
-	o := Options{Iterations: 15, SweepsPerRun: 40, Eta: 0.5, Seed: 21}
-	const replicas = 3
-	merged, err := SolveParallel(p, o, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Inf(-1)
-	for r := 0; r < replicas; r++ {
-		ro := o
-		ro.Seed = replicaSeed(o.Seed, r)
-		res, err := Solve(p, ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.DualBest > want {
-			want = res.DualBest
-		}
-	}
-	if merged.DualBest != want {
-		t.Fatalf("merged DualBest = %v, want max over replicas %v", merged.DualBest, want)
-	}
-	if want >= 0 {
-		t.Fatalf("test instance no longer exercises negative duals (max = %v); pick another", want)
-	}
-}
-
 // Replicas beyond the first used to silently drop progress; now every
 // replica streams through a thread-safe aggregator reporting fleet totals.
 func TestSolveParallelProgressAggregates(t *testing.T) {

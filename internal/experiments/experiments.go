@@ -225,6 +225,18 @@ func accuracyOf(cost, opt float64) float64 {
 	return qkp.Accuracy(cost, opt)
 }
 
+// feasibleCosts returns the costs of a trace's feasible samples, in run
+// order.
+func feasibleCosts(tr *core.Trace) []float64 {
+	var out []float64
+	for k, c := range tr.Cost {
+		if tr.Feasible[k] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // meanAccuracy averages accuracies of a feasible-cost list (NaN if empty).
 func meanAccuracy(costs []float64, opt float64) float64 {
 	if len(costs) == 0 {

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/core"
+	"github.com/ising-machines/saim/internal/qkp"
 )
 
 func smokeCfg() Config { return Config{Preset: Smoke} }
@@ -291,5 +294,29 @@ func TestFig4BudgetMatchesPreset(t *testing.T) {
 	b := qkpBudgetFor(Smoke, 300)
 	if res.MeasuredSAIMMCS != int64(b.runs)*int64(b.sweeps) {
 		t.Fatalf("measured MCS %d, want %d", res.MeasuredSAIMMCS, int64(b.runs)*int64(b.sweeps))
+	}
+}
+
+func TestTunePenaltyRaisesPUntilFeasible(t *testing.T) {
+	p := qkp.Generate(14, 0.5, 1, 77).ToProblem(constraint.Binary)
+	tuned, sweeps, err := tunePenalty(context.Background(), p, 10, 2, 0.2, 10,
+		core.Options{Iterations: 20, SweepsPerRun: 150, BetaMax: 10, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tuned.Probes < 1 {
+		t.Fatal("no probes executed")
+	}
+	if tuned.P < 0.02 {
+		t.Fatalf("tuned P %v below start", tuned.P)
+	}
+	if sweeps != int64(tuned.Probes)*20*150 {
+		t.Fatalf("sweep accounting: %d for %d probes", sweeps, tuned.Probes)
+	}
+	if math.IsInf(tuned.BestCost, 1) {
+		t.Fatal("tuning never saw a feasible sample")
+	}
+	if _, _, err := tunePenalty(context.Background(), &core.Problem{}, 10, 2, 0.2, 10, core.Options{}); err == nil {
+		t.Fatal("accepted an invalid problem")
 	}
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
 
-	"github.com/ising-machines/saim/internal/anneal"
 	"github.com/ising-machines/saim/internal/core"
+	"github.com/ising-machines/saim/internal/penalty"
 	"github.com/ising-machines/saim/internal/pt"
 	"github.com/ising-machines/saim/internal/qkp"
 	"github.com/ising-machines/saim/internal/report"
@@ -118,8 +119,10 @@ func table2Instance(cfg Config, b qkpBudget, d float64, id int) (*Table2Row, err
 	}
 
 	// Penalty method, same P and same sample budget.
-	pen, err := anneal.SolvePenaltyContext(cfg.Context(), prob, saim.P, anneal.Options{
-		Runs: b.runs, SweepsPerRun: b.sweeps, BetaMax: b.betaMax, Seed: seed ^ 0x5a5a,
+	penTr := &core.Trace{}
+	pen, err := core.SolvePenaltyContext(cfg.Context(), prob, core.Options{
+		P: saim.P, Iterations: b.runs, SweepsPerRun: b.sweeps, BetaMax: b.betaMax,
+		Seed: seed ^ 0x5a5a, Trace: penTr,
 	})
 	if err != nil {
 		return nil, err
@@ -127,14 +130,16 @@ func table2Instance(cfg Config, b qkpBudget, d float64, id int) (*Table2Row, err
 
 	// Tuned penalty method with few long runs: coarse tuning probes at a
 	// quarter of the long budget, then the final long runs at the tuned P.
-	tuned, _, err := anneal.TunePenaltyContext(cfg.Context(), prob, saim.P, 2, 0.2, 7, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x3c3c,
+	tuned, _, err := tunePenalty(cfg.Context(), prob, saim.P, 2, 0.2, 7, core.Options{
+		Iterations: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x3c3c,
 	})
 	if err != nil {
 		return nil, err
 	}
-	long, err := anneal.SolvePenaltyContext(cfg.Context(), prob, tuned.P, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0xc3c3,
+	longTr := &core.Trace{}
+	long, err := core.SolvePenaltyContext(cfg.Context(), prob, core.Options{
+		P: tuned.P, Iterations: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax,
+		Seed: seed ^ 0xc3c3, Trace: longTr,
 	})
 	if err != nil {
 		return nil, err
@@ -151,10 +156,10 @@ func table2Instance(cfg Config, b qkpBudget, d float64, id int) (*Table2Row, err
 		SAIMAvg:  ss.AvgAcc,
 		SAIMFeas: ss.FeasPct,
 		PenBest:  accuracyOf(pen.BestCost, opt),
-		PenAvg:   meanAccuracy(pen.FeasibleCosts, opt),
+		PenAvg:   meanAccuracy(feasibleCosts(penTr), opt),
 		PenFeas:  pen.FeasibleRatio(),
 		LongBest: accuracyOf(long.BestCost, opt),
-		LongAvg:  meanAccuracy(long.FeasibleCosts, opt),
+		LongAvg:  meanAccuracy(feasibleCosts(longTr), opt),
 		LongFeas: long.FeasibleRatio(),
 	}
 	if dn > 0 {
@@ -258,14 +263,14 @@ func compareInstance(cfg Config, b qkpBudget, paperN int, d float64, id int) (*Q
 	}
 
 	// Best-SA stand-in: penalty SA at a tuned P with the long-run budget.
-	tuned, _, err := anneal.TunePenaltyContext(cfg.Context(), prob, saim.P, 2, 0.2, 7, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x1111,
+	tuned, _, err := tunePenalty(cfg.Context(), prob, saim.P, 2, 0.2, 7, core.Options{
+		Iterations: b.longRuns, SweepsPerRun: b.longMCS / 4, BetaMax: b.betaMax, Seed: seed ^ 0x1111,
 	})
 	if err != nil {
 		return nil, err
 	}
-	bestSA, err := anneal.SolvePenaltyContext(cfg.Context(), prob, tuned.P, anneal.Options{
-		Runs: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0x2222,
+	bestSA, err := core.SolvePenaltyContext(cfg.Context(), prob, core.Options{
+		P: tuned.P, Iterations: b.longRuns, SweepsPerRun: b.longMCS, BetaMax: b.betaMax, Seed: seed ^ 0x2222,
 	})
 	if err != nil {
 		return nil, err
@@ -293,4 +298,36 @@ func compareInstance(cfg Config, b qkpBudget, paperN int, d float64, id int) (*Q
 		BestSA:     accuracyOf(bestSA.BestCost, opt),
 		PTDA:       accuracyOf(ptRes.BestCost, opt),
 	}, nil
+}
+
+// tunePenalty reproduces the paper's coarse tuning loop around the penalty
+// method: starting from the heuristic P₀, multiply by growth until the
+// feasible ratio reaches target. Each probe spends the full opt budget,
+// mirroring how the tuning phase "worsens the global execution time"
+// (Section I), and checks ctx once per annealing run, so cancellation
+// abandons the loop within one run. It returns the tuning outcome plus the
+// total sweeps spent across probes.
+func tunePenalty(ctx context.Context, p *core.Problem, p0, growth, target float64, maxProbes int, opt core.Options) (penalty.TuneResult, int64, error) {
+	if err := p.Validate(); err != nil {
+		return penalty.TuneResult{}, 0, err
+	}
+	var sweeps int64
+	probe := 0
+	eval := func(pw float64) (float64, float64) {
+		o := opt
+		o.P = pw
+		// Decorrelate probes without letting two probes share a stream.
+		o.Seed = opt.Seed + uint64(probe)*0x9e3779b9
+		probe++
+		if ctx.Err() != nil {
+			return 0, math.Inf(1)
+		}
+		res, err := core.SolvePenaltyContext(ctx, p, o)
+		if err != nil {
+			return 0, math.Inf(1)
+		}
+		sweeps += res.TotalSweeps
+		return res.FeasibleRatio() / 100, res.BestCost
+	}
+	return penalty.Tune(eval, p0, growth, target, maxProbes), sweeps, nil
 }

@@ -139,59 +139,6 @@ func BiasDelta(dst vecmat.Vec, ext *constraint.Extended, l *Multipliers) float64
 	return shift
 }
 
-// DualTracker records the evolution of the (heuristic) dual lower bound
-// LB_L = min_x L observed during SAIM iterations. Because the Ising machine
-// is a heuristic minimizer, the recorded values are upper estimates of the
-// true dual function; the tracker keeps the trajectory for Fig. 3/5-style
-// traces and exposes the best (largest) value seen, which estimates the
-// optimal dual bound M_D = max_λ LB_L (paper eq. 8).
-type DualTracker struct {
-	history []float64
-	best    float64
-	hasBest bool
-}
-
-// Reserve pre-grows the history buffer to capacity n so that the following
-// n Record calls do not allocate. The solve engine reserves the full
-// iteration budget up front to keep its steady-state loop allocation-free.
-func (d *DualTracker) Reserve(n int) {
-	if cap(d.history)-len(d.history) < n {
-		grown := make([]float64, len(d.history), len(d.history)+n)
-		copy(grown, d.history)
-		d.history = grown
-	}
-}
-
-// Reset clears the tracker for reuse, keeping the history buffer's capacity.
-func (d *DualTracker) Reset() {
-	d.history = d.history[:0]
-	d.best = 0
-	d.hasBest = false
-}
-
-// Record appends one measured L(x̄) value.
-func (d *DualTracker) Record(lb float64) {
-	d.history = append(d.history, lb)
-	if !d.hasBest || lb > d.best {
-		d.best = lb
-		d.hasBest = true
-	}
-}
-
-// Best returns the largest recorded bound, or -Inf if none.
-func (d *DualTracker) Best() float64 {
-	if !d.hasBest {
-		return math.Inf(-1)
-	}
-	return d.best
-}
-
-// History returns the recorded trajectory (live slice; do not mutate).
-func (d *DualTracker) History() []float64 { return d.history }
-
-// Len returns the number of recorded values.
-func (d *DualTracker) Len() int { return len(d.history) }
-
 // StepSchedule maps the update index k (0-based) to a step size η_k.
 // Classical subgradient theory converges for diminishing, non-summable
 // steps (e.g. η_k = η₀/√(k+1)); the paper uses a constant η, which works

@@ -163,22 +163,6 @@ func TestSubgradientClosesGapOnToyProblem(t *testing.T) {
 	}
 }
 
-func TestDualTracker(t *testing.T) {
-	var d DualTracker
-	if !math.IsInf(d.Best(), -1) {
-		t.Fatal("empty tracker Best should be -Inf")
-	}
-	d.Record(-5)
-	d.Record(-2)
-	d.Record(-3)
-	if d.Best() != -2 {
-		t.Fatalf("Best = %v", d.Best())
-	}
-	if d.Len() != 3 || len(d.History()) != 3 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	l := New(2, 1)
 	l.Update(vecmat.Vec{1, 1})

@@ -5,7 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/ising-machines/saim/internal/anneal"
+	"github.com/ising-machines/saim/internal/constraint"
+	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
 )
@@ -124,16 +125,23 @@ func TestAnnealerReachesExactOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := anneal.MinimizeQUBO(g.ToQUBO(), anneal.Options{
-		Runs: 30, SweepsPerRun: 300, BetaMax: 4, Seed: 1,
-	})
+	// The max-cut QUBO as an unconstrained core problem (no constraint
+	// rows), annealed on its raw energy.
+	q := g.ToQUBO()
+	p := &core.Problem{Objective: q, Ext: constraint.NewSystem(g.N).Extend(constraint.Binary), Cost: q.Energy}
+	minimize := func(o core.Options) ising.Bits {
+		res, err := core.Solve(p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Best
+	}
+	x := minimize(core.Options{Iterations: 30, SweepsPerRun: 300, BetaMax: 4, Seed: 1})
 	// βmax moderate: weights up to 5, ΔE scale ~ O(10).
 	if got := g.CutValue(x); got < want-1e-9 {
 		// One retry at colder schedule before failing: annealing is
 		// stochastic but this size should be easy.
-		x2, _ := anneal.MinimizeQUBO(g.ToQUBO(), anneal.Options{
-			Runs: 100, SweepsPerRun: 600, BetaMax: 8, Seed: 2,
-		})
+		x2 := minimize(core.Options{Iterations: 100, SweepsPerRun: 600, BetaMax: 8, Seed: 2})
 		if got2 := g.CutValue(x2); got2 < want-1e-9 {
 			t.Fatalf("annealer cut %v (then %v), optimum %v", got, got2, want)
 		}

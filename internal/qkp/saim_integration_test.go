@@ -1,9 +1,9 @@
 package qkp_test
 
 import (
+	"context"
 	"testing"
 
-	"github.com/ising-machines/saim/internal/anneal"
 	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/exact"
@@ -28,8 +28,8 @@ func TestSAIMBeatsPenaltyAtSameSmallP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pen, err := anneal.SolvePenalty(p, saim.P, anneal.Options{
-		Runs: 300, SweepsPerRun: 300, BetaMax: 10, Seed: 3,
+	pen, err := core.SolvePenaltyContext(context.Background(), p, core.Options{
+		P: saim.P, Iterations: 300, SweepsPerRun: 300, BetaMax: 10, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

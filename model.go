@@ -8,6 +8,7 @@ import (
 	"github.com/ising-machines/saim/internal/core"
 	"github.com/ising-machines/saim/internal/hoim"
 	"github.com/ising-machines/saim/internal/ising"
+	"github.com/ising-machines/saim/internal/vecmat"
 )
 
 // Form classifies what a Model contains, and therefore which solvers can
@@ -48,12 +49,12 @@ type Model struct {
 	form Form
 	n    int
 
-	// Quadratic forms: the objective in the caller's original units.
+	// Quadratic forms: the objective in the caller's original units, the
+	// original constraint system (empty when unconstrained), and the
+	// normalized extended problem the core engine consumes.
 	rawObj *ising.QUBO
-	// Constrained form: the original constraint system and the normalized
-	// extended problem SAIM and the penalty baselines consume.
-	sys   *constraint.System
-	inner *core.Problem
+	sys    *constraint.System
+	inner  *core.Problem
 
 	// High-order form: polynomial objective and equality constraints.
 	hobj  *hoim.Poly
@@ -68,14 +69,10 @@ func (m *Model) N() int { return m.n }
 
 // NumConstraints returns the number of constraints (linear or polynomial).
 func (m *Model) NumConstraints() int {
-	switch m.form {
-	case FormConstrained:
-		return m.sys.M()
-	case FormHighOrder:
+	if m.form == FormHighOrder {
 		return len(m.hcons)
-	default:
-		return 0
 	}
+	return m.sys.M()
 }
 
 // Evaluate returns the objective value of an assignment in the caller's
@@ -87,9 +84,7 @@ func (m *Model) Evaluate(assignment []int) (cost float64, feasible bool, err err
 		return 0, false, err
 	}
 	switch m.form {
-	case FormUnconstrained:
-		return m.rawObj.Energy(x), true, nil
-	case FormConstrained:
+	case FormUnconstrained, FormConstrained:
 		return m.rawObj.Energy(x), m.sys.Feasible(x, 1e-9), nil
 	case FormHighOrder:
 		feasible = true
@@ -103,6 +98,13 @@ func (m *Model) Evaluate(assignment []int) (cost float64, feasible bool, err err
 	default:
 		return 0, false, fmt.Errorf("saim: unknown model form %v", m.form)
 	}
+}
+
+// Monomial is one weighted product term w·Π_{i∈Vars} x_i of a higher-order
+// pseudo-Boolean polynomial. An empty Vars list denotes a constant.
+type Monomial struct {
+	W    float64
+	Vars []int
 }
 
 // Term adds the monomial w·Π_i x_i to the minimization objective. Duplicate
@@ -164,17 +166,16 @@ func (b *Builder) Model() (*Model, error) {
 	if len(b.hterms) > 0 || len(b.pcons) > 0 {
 		return b.buildHighOrder()
 	}
-	if b.sys.M() > 0 {
-		return b.buildConstrained()
-	}
-	return &Model{form: FormUnconstrained, n: b.n, rawObj: b.obj.Clone()}, nil
+	return b.buildQuadratic()
 }
 
-// buildConstrained prepares the normalized SAIM form exactly as the paper
+// buildQuadratic prepares the normalized SAIM form exactly as the paper
 // prescribes: the extended (decision + slack) system and objective are each
 // normalized by their largest absolute coefficient. The constraint system
-// is deep-copied so reusing the builder never mutates a built model.
-func (b *Builder) buildConstrained() (*Model, error) {
+// is deep-copied so reusing the builder never mutates a built model. An
+// unconstrained model gets the same form with an empty system (M = 0):
+// no slack columns, and the normalized objective is the whole energy.
+func (b *Builder) buildQuadratic() (*Model, error) {
 	sys := constraint.NewSystem(b.sys.N)
 	for _, c := range b.sys.Cons {
 		sys.Add(c.A, c.Sense, c.B) // Add clones the coefficient vector
@@ -183,16 +184,8 @@ func (b *Builder) buildConstrained() (*Model, error) {
 	ext.Normalize()
 
 	raw := b.obj.Clone()
-	grown := ising.NewQUBO(ext.NTotal)
-	for i := 0; i < b.n; i++ {
-		grown.AddLinear(i, b.obj.C[i])
-		for j := i + 1; j < b.n; j++ {
-			if v := b.obj.Q.At(i, j); v != 0 {
-				grown.AddQuad(i, j, 2*v)
-			}
-		}
-	}
-	grown.Const = b.obj.Const
+	extra := ext.NTotal - b.n // slack columns carry no objective
+	grown := &ising.QUBO{Q: b.obj.Q.Grow(extra), C: vecmat.GrowVec(b.obj.C, extra), Const: b.obj.Const}
 	grown.Normalize()
 
 	inner := &core.Problem{
@@ -206,8 +199,12 @@ func (b *Builder) buildConstrained() (*Model, error) {
 	if err := inner.Validate(); err != nil {
 		return nil, err
 	}
+	form := FormConstrained
+	if ext.M() == 0 {
+		form = FormUnconstrained
+	}
 	return &Model{
-		form:   FormConstrained,
+		form:   form,
 		n:      b.n,
 		rawObj: raw,
 		sys:    ext.Orig,

@@ -120,7 +120,7 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 func WithMachine(k MachineKind) Option { return func(c *config) { c.machine = k } }
 
 // WithPackedReplicas controls whether the saim backend's replica pool
-// (WithReplicas ≥ 64 on constrained models) routes full 64-replica groups
+// (WithReplicas ≥ 64 on quadratic models) routes full 64-replica groups
 // through the bit-packed multi-spin kernels, which sweep 64 replicas per
 // coupling-row walk instead of one. PackedAuto (the default) packs
 // whenever eligible; PackedOff forces scalar per-replica machines.
@@ -130,9 +130,9 @@ func WithMachine(k MachineKind) Option { return func(c *config) { c.machine = k 
 func WithPackedReplicas(m PackedMode) Option { return func(c *config) { c.packed = m } }
 
 // WithReplicas sets the number of parallel-tempering temperature rungs
-// (default 26, as in PT-DA), or — for the saim backend on constrained
-// models — the number of independent restarts merged into one result
-// (default 1; the saim backend rejects replicas > 1 for unconstrained and
+// (default 26, as in PT-DA), or — for the saim backend on constrained and
+// unconstrained models — the number of independent restarts merged into
+// one result (default 1; the saim backend rejects replicas > 1 for
 // high-order models rather than silently running one chain).
 func WithReplicas(r int) Option { return func(c *config) { c.replicas = r } }
 

@@ -1,7 +1,6 @@
 package saim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -131,101 +130,6 @@ func (b *Builder) constrain(coeffs []float64, sense constraint.Sense, bound floa
 	return b
 }
 
-// Problem is a built, linearly constrained problem ready for Solve.
-//
-// Deprecated: build a Model with Builder.Model and run it through a
-// registered Solver instead; Problem remains as a thin wrapper for
-// compatibility.
-type Problem struct {
-	m *Model
-}
-
-// Model returns the unified model underlying the problem.
-func (p *Problem) Model() *Model { return p.m }
-
-// N returns the number of decision variables.
-func (p *Problem) N() int { return p.m.N() }
-
-// Evaluate returns the objective value of an assignment in the caller's
-// original units, and whether the assignment satisfies all constraints.
-func (p *Problem) Evaluate(assignment []int) (cost float64, feasible bool, err error) {
-	return p.m.Evaluate(assignment)
-}
-
-// Build validates the accumulated problem and prepares the normalized SAIM
-// form. The builder can be reused afterwards, but further mutations do not
-// affect the built problem.
-//
-// Deprecated: use Builder.Model, which also handles unconstrained and
-// high-order problems.
-func (b *Builder) Build() (*Problem, error) {
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
-	}
-	if b.sys.M() == 0 {
-		return nil, fmt.Errorf("saim: problem has no constraints; use an unconstrained QUBO solver instead")
-	}
-	m, err := b.Model()
-	if err != nil {
-		return nil, err
-	}
-	if m.Form() != FormConstrained {
-		return nil, fmt.Errorf("saim: Build supports only linearly constrained problems (model form %v); use Builder.Model", m.Form())
-	}
-	return &Problem{m: m}, nil
-}
-
-// Options configures the deprecated wrapper entry points. The zero value
-// uses the paper's QKP defaults (P = 2·d·N, η = 20, 2000 iterations of 1000
-// sweeps, βmax = 10).
-//
-// Deprecated: pass functional Options (WithEta, WithIterations, …) to a
-// Solver instead.
-type Options struct {
-	// Alpha sets the penalty heuristic P = α·d·N (default 2).
-	Alpha float64
-	// Penalty overrides the penalty weight when non-zero.
-	Penalty float64
-	// Eta is the Lagrange step size (default 20).
-	Eta float64
-	// Iterations is the number of annealing runs / λ updates (default 2000).
-	Iterations int
-	// SweepsPerRun is the Monte-Carlo sweep budget per run (default 1000).
-	SweepsPerRun int
-	// BetaMax is the final inverse temperature (default 10).
-	BetaMax float64
-	// Seed makes the solve reproducible.
-	Seed uint64
-}
-
-// asOptions converts the legacy struct into the functional option list the
-// unified API consumes.
-func (o Options) asOptions() []Option {
-	var opts []Option
-	if o.Alpha != 0 {
-		opts = append(opts, WithAlpha(o.Alpha))
-	}
-	if o.Penalty != 0 {
-		opts = append(opts, WithPenalty(o.Penalty))
-	}
-	if o.Eta != 0 {
-		opts = append(opts, WithEta(o.Eta))
-	}
-	if o.Iterations != 0 {
-		opts = append(opts, WithIterations(o.Iterations))
-	}
-	if o.SweepsPerRun != 0 {
-		opts = append(opts, WithSweepsPerRun(o.SweepsPerRun))
-	}
-	if o.BetaMax != 0 {
-		opts = append(opts, WithBetaMax(o.BetaMax))
-	}
-	if o.Seed != 0 {
-		opts = append(opts, WithSeed(o.Seed))
-	}
-	return opts
-}
-
 // Result reports a solve outcome in the caller's original units.
 type Result struct {
 	// Solver is the name of the backend that produced the result.
@@ -265,44 +169,6 @@ type Result struct {
 
 // Infeasible reports whether a result found no feasible assignment.
 func (r *Result) Infeasible() bool { return r.Assignment == nil || math.IsInf(r.Cost, 1) }
-
-// Solve runs the self-adaptive Ising machine (Algorithm 1 of the paper) on
-// the problem.
-//
-// Deprecated: use the "saim" Solver from the registry, which adds context
-// cancellation, progress streaming, and early stopping.
-func Solve(p *Problem, o Options) (*Result, error) {
-	return SolveModel(context.Background(), "saim", p.m, o.asOptions()...)
-}
-
-// SolvePenaltyMethod runs the classical penalty-method baseline (no λ
-// adaptation) at the given penalty weight, with the same budget semantics
-// as Solve. It exists so downstream users can reproduce the paper's
-// comparison on their own problems.
-//
-// Deprecated: use the "penalty" Solver from the registry.
-func SolvePenaltyMethod(p *Problem, penaltyWeight float64, o Options) (*Result, error) {
-	if penaltyWeight <= 0 {
-		return nil, fmt.Errorf("saim: penalty weight must be positive, got %v", penaltyWeight)
-	}
-	o.Penalty = penaltyWeight
-	return SolveModel(context.Background(), "penalty", p.m, o.asOptions()...)
-}
-
-// SolveParallel runs `replicas` independent SAIM solves concurrently with
-// decorrelated seeds and returns the merged best result. Independent
-// restarts are the natural parallelization of the algorithm: the λ
-// recursion within one solve is sequential, but separate replicas explore
-// different multiplier trajectories.
-//
-// Deprecated: use the "saim" Solver with WithReplicas.
-func SolveParallel(p *Problem, o Options, replicas int) (*Result, error) {
-	if replicas <= 0 {
-		return nil, fmt.Errorf("saim: SolveParallel requires replicas > 0, got %d", replicas)
-	}
-	opts := append(o.asOptions(), WithReplicas(replicas))
-	return SolveModel(context.Background(), "saim", p.m, opts...)
-}
 
 func toBits(assignment []int, n int) (ising.Bits, error) {
 	if len(assignment) != n {

@@ -1,6 +1,7 @@
 package saim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,23 +9,39 @@ import (
 // knapsack3 builds max 6x₀+5x₁+8x₂ s.t. 2x₀+3x₁+4x₂ ≤ 5: OPT takes items
 // 0 and 1? (2+3=5 ≤ 5, value 11) vs item 2 alone (value 8) vs 0+2 (6 weight,
 // no). OPT = 11.
-func knapsack3(t *testing.T) *Problem {
+func knapsack3(t *testing.T) *Model {
 	t.Helper()
 	b := NewBuilder(3)
 	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
 	b.ConstrainLE([]float64{2, 3, 4}, 5)
-	p, err := b.Build()
+	return mustModel(t, b)
+}
+
+// mustModel builds the builder's model or fails the test.
+func mustModel(t *testing.T, b *Builder) *Model {
+	t.Helper()
+	m, err := b.Model()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return m
+}
+
+// mustSolve runs a registered solver or fails the test.
+func mustSolve(t *testing.T, solver string, m *Model, opts ...Option) *Result {
+	t.Helper()
+	res, err := SolveModel(context.Background(), solver, m, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestSolveQuickstart(t *testing.T) {
 	p := knapsack3(t)
-	res, err := Solve(p, Options{Iterations: 150, SweepsPerRun: 150, Eta: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	res := mustSolve(t, "saim", p, WithIterations(150), WithSweepsPerRun(150), WithEta(1), WithSeed(1))
+	if res.Solver != "saim" {
+		t.Fatalf("result labeled %q", res.Solver)
 	}
 	if res.Infeasible() {
 		t.Fatal("no feasible assignment")
@@ -77,14 +94,7 @@ func TestQuadraticObjective(t *testing.T) {
 	b.Linear(0, -3).Linear(1, -3).Linear(2, -7)
 	b.Quadratic(0, 1, -6)
 	b.ConstrainLE([]float64{1, 1, 2}, 2)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(p, Options{Iterations: 200, SweepsPerRun: 150, Eta: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, "saim", mustModel(t, b), WithIterations(200), WithSweepsPerRun(150), WithEta(1), WithSeed(5))
 	if res.Cost != -12 {
 		t.Fatalf("Cost = %v, want -12 (items 0+1)", res.Cost)
 	}
@@ -95,14 +105,7 @@ func TestEqualityConstraint(t *testing.T) {
 	b := NewBuilder(3)
 	b.Linear(2, -5).Linear(1, -1)
 	b.ConstrainEQ([]float64{1, 1, 1}, 1)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(p, Options{Iterations: 120, SweepsPerRun: 120, Eta: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, "saim", mustModel(t, b), WithIterations(120), WithSweepsPerRun(120), WithEta(1), WithSeed(2))
 	if res.Infeasible() {
 		t.Fatal("no feasible assignment")
 	}
@@ -112,68 +115,54 @@ func TestEqualityConstraint(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	if _, err := NewBuilder(0).Build(); err == nil {
+	if _, err := NewBuilder(0).Model(); err == nil {
 		t.Fatal("accepted n=0")
 	}
 	b := NewBuilder(2)
 	b.Linear(5, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
 	b = NewBuilder(2)
 	b.Quadratic(1, 1, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted diagonal quadratic")
 	}
 	b = NewBuilder(2)
 	b.ConstrainLE([]float64{1}, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted wrong-length constraint")
 	}
 	b = NewBuilder(2)
 	b.ConstrainLE([]float64{-1, 1}, 1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted negative ≤ coefficient")
 	}
 	b = NewBuilder(2)
 	b.ConstrainLE([]float64{1, 1}, -1)
-	if _, err := b.Build(); err == nil {
+	if _, err := b.Model(); err == nil {
 		t.Fatal("accepted negative bound")
-	}
-	b = NewBuilder(2)
-	b.Linear(0, -1)
-	if _, err := b.Build(); err == nil {
-		t.Fatal("accepted unconstrained problem")
 	}
 }
 
 func TestSolvePenaltyMethodComparison(t *testing.T) {
 	p := knapsack3(t)
-	res, err := SolvePenaltyMethod(p, 50, Options{Iterations: 150, SweepsPerRun: 150, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, "penalty", p, WithPenalty(50), WithIterations(150), WithSweepsPerRun(150), WithSeed(3))
 	if res.Infeasible() {
 		t.Fatal("penalty method found nothing at large P")
 	}
 	if res.Cost > -8 {
 		t.Fatalf("penalty method cost %v implausibly bad", res.Cost)
 	}
-	if _, err := SolvePenaltyMethod(p, 0, Options{}); err == nil {
-		t.Fatal("accepted zero penalty weight")
+	if _, err := SolveModel(context.Background(), "penalty", p, WithPenalty(-1)); err == nil {
+		t.Fatal("accepted negative penalty weight")
 	}
 }
 
 func TestSolveDeterministic(t *testing.T) {
 	p := knapsack3(t)
-	a, err := Solve(p, Options{Iterations: 60, SweepsPerRun: 80, Eta: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Solve(p, Options{Iterations: 60, SweepsPerRun: 80, Eta: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := []Option{WithIterations(60), WithSweepsPerRun(80), WithEta(1), WithSeed(11)}
+	a, b := mustSolve(t, "saim", p, opts...), mustSolve(t, "saim", p, opts...)
 	if a.Cost != b.Cost || a.FeasibleRatio != b.FeasibleRatio {
 		t.Fatal("same seed, different results")
 	}
@@ -188,10 +177,7 @@ func TestResultInfeasible(t *testing.T) {
 
 func TestSolveParallelFacade(t *testing.T) {
 	p := knapsack3(t)
-	res, err := SolveParallel(p, Options{Iterations: 60, SweepsPerRun: 100, Eta: 1, Seed: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, "saim", p, WithIterations(60), WithSweepsPerRun(100), WithEta(1), WithSeed(1), WithReplicas(3))
 	if res.Infeasible() {
 		t.Fatal("no feasible assignment")
 	}
@@ -201,7 +187,7 @@ func TestSolveParallelFacade(t *testing.T) {
 	if res.Sweeps != 3*60*100 {
 		t.Fatalf("Sweeps = %d", res.Sweeps)
 	}
-	if _, err := SolveParallel(p, Options{}, 0); err == nil {
-		t.Fatal("accepted zero replicas")
+	if res.Iterations != 3*60 {
+		t.Fatalf("Iterations = %d", res.Iterations)
 	}
 }

@@ -215,20 +215,36 @@ func Open(cfg Config) (*Manager, error) {
 
 // pendingJob is one non-finished job reconstructed from the journal.
 type pendingJob struct {
-	id       string
-	rec      submittedRec
-	warm     []int
-	warmCost float64
-	attempts int
+	id        string
+	submitted bool
+	rec       submittedRec
+	warm      []int
+	warmCost  float64
+	attempts  int
 }
 
 // replayRecords folds the journal into the set of jobs to re-queue (in
 // submission order) and the highest job number ever seen — the id
 // counter must resume past finished jobs too, so a recycled id can never
 // point a client at someone else's job.
+//
+// A job's records need not follow its lifecycle order: Submit enqueues a
+// job before journaling its Submitted record, so a fast worker can
+// journal Started, Checkpoint and even a terminal record first. Records
+// therefore attach to their job wherever they sit, and a terminal record
+// ends the job whatever its position.
 func replayRecords(recs []wal.Record) ([]pendingJob, int) {
 	byID := map[string]*pendingJob{}
+	job := func(id string) *pendingJob {
+		p := byID[id]
+		if p == nil {
+			p = &pendingJob{id: id}
+			byID[id] = p
+		}
+		return p
+	}
 	var order []string
+	final := map[string]bool{}
 	maxID := 0
 	for _, r := range recs {
 		if n := idNumber(r.Job); n > maxID {
@@ -236,41 +252,35 @@ func replayRecords(recs []wal.Record) ([]pendingJob, int) {
 		}
 		switch r.Kind {
 		case wal.KindSubmitted:
-			if _, ok := byID[r.Job]; ok {
+			p := job(r.Job)
+			if p.submitted {
 				continue // duplicate from an interrupted compaction
 			}
-			p := &pendingJob{id: r.Job}
+			p.submitted = true
 			if err := json.Unmarshal(r.Data, &p.rec); err != nil {
 				// Keep the entry with a zero rec; requeue finalizes it
 				// as failed so the id still resolves.
 				p.rec = submittedRec{}
 			}
-			byID[r.Job] = p
 			order = append(order, r.Job)
 		case wal.KindStarted:
-			if p := byID[r.Job]; p != nil {
-				p.attempts++
-			}
+			job(r.Job).attempts++
 		case wal.KindCheckpoint:
-			p := byID[r.Job]
-			if p == nil {
-				continue
-			}
 			var ck checkpointRec
 			if err := json.Unmarshal(r.Data, &ck); err != nil {
 				continue
 			}
-			if p.warm == nil || ck.Cost < p.warmCost {
+			if p := job(r.Job); p.warm == nil || ck.Cost < p.warmCost {
 				p.warm, p.warmCost = ck.Assignment, ck.Cost
 			}
 		case wal.KindFinished, wal.KindCancelled:
-			delete(byID, r.Job)
+			final[r.Job] = true
 		}
 	}
-	out := make([]pendingJob, 0, len(byID))
+	out := make([]pendingJob, 0, len(order))
 	for _, id := range order {
-		if p := byID[id]; p != nil {
-			out = append(out, *p)
+		if !final[id] {
+			out = append(out, *byID[id])
 		}
 	}
 	return out, maxID

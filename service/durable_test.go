@@ -196,6 +196,31 @@ func TestRecoveryRequeuesAndCompletes(t *testing.T) {
 	}
 }
 
+// TestReplayTerminalRecordBeforeSubmitted pins replay against the
+// journal order a fast worker leaves: Submit enqueues before journaling,
+// so a job's Started and Finished records can precede its Submitted
+// record. The terminal record must still end the job, so a restart
+// re-queues nothing and the id counter resumes past it.
+func TestReplayTerminalRecordBeforeSubmitted(t *testing.T) {
+	dir := t.TempDir()
+	writeCrashJournal(t, dir, []wal.Record{
+		{Kind: wal.KindStarted, Job: "job-000001", Data: []byte(`{"attempt":1}`)},
+		{Kind: wal.KindFinished, Job: "job-000001"},
+		{Kind: wal.KindSubmitted, Job: "job-000001", Data: submittedData(t, knapModel(0), "greedy", nil)},
+	})
+	mgr := openTestManager(t, Config{Dir: dir, Workers: 1})
+	if jobs := mgr.Jobs(); len(jobs) != 0 {
+		t.Fatalf("restart re-queued %d finished jobs", len(jobs))
+	}
+	j, err := mgr.Submit(Request{Model: knapModel(1), Solver: "greedy"})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if j.ID() != "job-000002" {
+		t.Fatalf("post-restart id = %s, want job-000002", j.ID())
+	}
+}
+
 // TestRecoveryWarmStartsFromCheckpoint pins the warm-start acceptance:
 // a recovered job given a checkpointed optimal assignment and an almost
 // zero solve budget must still report a cost no worse than the
@@ -408,6 +433,30 @@ func TestSubmitFailsWhenJournalUnavailable(t *testing.T) {
 	}
 	if st := mgr.Stats(); st.Submitted != 1 {
 		t.Fatalf("Stats.Submitted = %d, want 1 (rejected submit must not count)", st.Submitted)
+	}
+}
+
+// TestRetractedJobLeavesResultCache pins the order the race above can
+// take: a worker finishes (and caches) a job before its journal append
+// fails. Retraction must pull it out of the dedup cache, or an identical
+// submission would be handed a job that was never accepted.
+func TestRetractedJobLeavesResultCache(t *testing.T) {
+	mgr := openTestManager(t, Config{Dir: t.TempDir(), Workers: 1})
+	req := Request{Model: knapModel(0), Solver: "greedy"}
+	j, err := mgr.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mgr.retractSubmit(j)
+	j2, err := mgr.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2 == j {
+		t.Fatal("identical submission deduplicated onto a retracted job")
 	}
 }
 

@@ -114,8 +114,20 @@ func TestStealJournalsOutsideManagerLock(t *testing.T) {
 // deduplicating onto the doomed job.
 func TestRetractedSubmitLeavesNoTrace(t *testing.T) {
 	setupTestSolvers(t)
-	mgr := openTestManager(t, Config{Dir: t.TempDir(), Fsync: SyncAlways, Workers: 1, QueueDepth: 8})
+	// Checkpoints off: the blocker's journal traffic is then exactly its
+	// Submitted and Started records.
+	mgr := openTestManager(t, Config{Dir: t.TempDir(), Fsync: SyncAlways, Workers: 1, QueueDepth: 8, CheckpointInterval: -1})
 	blockWorker(t, mgr)
+	// The worker journals Started after the blocker turns running; arm
+	// the one-shot failpoint only once that append is done, or Started
+	// consumes it instead of the Submit under test.
+	deadline := time.Now().Add(10 * time.Second)
+	for mgr.Stats().WALAppended < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker's Started record never reached the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	faultkit.Set("wal.append", faultkit.Times(1, faultkit.Error(errors.New("journal disk gone"))))
 	t.Cleanup(func() { faultkit.Clear("wal.append") })

@@ -315,23 +315,30 @@ func (m *Manager) CompleteRemote(id string, res *saim.Result, failure string) er
 	wasCancelled := j.cancelled
 	j.unlock()
 
+	// As in runJob, the counters move before finalize wakes waiters.
 	switch {
 	case failure != "":
 		err := fmt.Errorf("service: remote solve: %s", failure)
+		m.ctr.failed.Add(1)
 		j.finalize(StateFailed, nil, err)
 		m.detach(j)
-		m.ctr.failed.Add(1)
 		m.journalFinish(j, wal.KindFinished, err)
 	case res == nil:
 		err := errors.New("service: remote solve returned no result")
+		m.ctr.failed.Add(1)
 		j.finalize(StateFailed, nil, err)
 		m.detach(j)
-		m.ctr.failed.Add(1)
 		m.journalFinish(j, wal.KindFinished, err)
 	default:
 		state := StateDone
 		if wasCancelled && res.Stopped == saim.StopCancelled {
 			state = StateCancelled
+		}
+		if state == StateDone {
+			m.ctr.completed.Add(1)
+			m.ctr.stolenDone.Add(1)
+		} else {
+			m.ctr.cancelled.Add(1)
 		}
 		j.finalize(state, model.NewSolution(j.req.Model, res), nil)
 		m.mu.Lock()
@@ -343,11 +350,8 @@ func (m *Manager) CompleteRemote(id string, res *saim.Result, failure string) er
 		}
 		m.mu.Unlock()
 		if state == StateDone {
-			m.ctr.completed.Add(1)
-			m.ctr.stolenDone.Add(1)
 			m.journalFinish(j, wal.KindFinished, nil)
 		} else {
-			m.ctr.cancelled.Add(1)
 			m.journalFinish(j, wal.KindCancelled, nil)
 		}
 	}

@@ -422,7 +422,10 @@ func (m *Manager) admit(req Request, key string, wireOnly bool, limit time.Durat
 
 // retractSubmit undoes an admission whose journal append failed: the job
 // leaves the index immediately, and the worker that dequeues it sees the
-// cancellation and finalizes it without running.
+// cancellation and finalizes it without running. A worker can also have
+// dequeued and finished it before the append failed, so the job leaves
+// the result cache too; the worker caches only jobs still indexed, so
+// either order keeps a retracted job out of dedup.
 func (m *Manager) retractSubmit(j *Job) {
 	j.lock()
 	j.cancelled = true
@@ -433,6 +436,7 @@ func (m *Manager) retractSubmit(j *Job) {
 	if cur, ok := m.inflight[j.key]; ok && cur == j {
 		delete(m.inflight, j.key)
 	}
+	m.cache.drop(j.key, j)
 	m.mu.Unlock()
 }
 
@@ -573,9 +577,9 @@ func (m *Manager) runJob(w int, j *Job, totals *workerTotals) {
 	j.lock()
 	if j.cancelled || j.ctx.Err() != nil {
 		j.unlock()
+		m.ctr.cancelled.Add(1)
 		j.finalize(StateCancelled, nil, context.Canceled)
 		m.detach(j)
-		m.ctr.cancelled.Add(1)
 		m.journalFinish(j, wal.KindCancelled, nil)
 		m.noteFinished(j.id)
 		return
@@ -591,10 +595,10 @@ func (m *Manager) runJob(w int, j *Job, totals *workerTotals) {
 		j.unlock()
 		err := fmt.Errorf("service: %w: queued %v, time limit %v", ErrDeadlineExpired,
 			waited.Round(time.Millisecond), j.req.TimeLimit)
-		j.finalize(StateFailed, nil, err)
-		m.detach(j)
 		m.ctr.expired.Add(1)
 		m.ctr.failed.Add(1)
+		j.finalize(StateFailed, nil, err)
+		m.detach(j)
 		m.journalFinish(j, wal.KindFinished, err)
 		m.noteFinished(j.id)
 		return
@@ -604,7 +608,6 @@ func (m *Manager) runJob(w int, j *Job, totals *workerTotals) {
 	warm := j.warm
 	j.unlock()
 	m.ctr.busy.Add(1)
-	defer m.ctr.busy.Add(-1)
 
 	// The job-level limit is prepended so an explicit WithTimeLimit the
 	// caller put among its own options still wins (options apply last
@@ -666,11 +669,14 @@ func (m *Manager) runJob(w int, j *Job, totals *workerTotals) {
 		totals.commit()
 	}
 
+	// The counters move before finalize closes the job's done channel, so
+	// Stats read right after Wait already counts this job.
+	m.ctr.busy.Add(-1)
 	switch {
 	case err != nil:
+		m.ctr.failed.Add(1)
 		j.finalize(StateFailed, nil, err)
 		m.detach(j)
-		m.ctr.failed.Add(1)
 		m.journalFinish(j, wal.KindFinished, err)
 	default:
 		state := StateDone
@@ -680,20 +686,23 @@ func (m *Manager) runJob(w int, j *Job, totals *workerTotals) {
 		if wasCancelled && sol.Result().Stopped == saim.StopCancelled {
 			state = StateCancelled
 		}
+		if state == StateDone {
+			m.ctr.completed.Add(1)
+		} else {
+			m.ctr.cancelled.Add(1)
+		}
 		j.finalize(state, sol, nil)
 		m.mu.Lock()
 		if cur, ok := m.inflight[j.key]; ok && cur == j {
 			delete(m.inflight, j.key)
 		}
-		if state == StateDone && !j.req.NoDedup {
+		if state == StateDone && !j.req.NoDedup && m.jobs[j.id] == j {
 			m.cache.put(j.key, j)
 		}
 		m.mu.Unlock()
 		if state == StateDone {
-			m.ctr.completed.Add(1)
 			m.journalFinish(j, wal.KindFinished, nil)
 		} else {
-			m.ctr.cancelled.Add(1)
 			m.journalFinish(j, wal.KindCancelled, nil)
 		}
 	}

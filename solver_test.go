@@ -394,15 +394,24 @@ func TestBuilderReuseDoesNotMutateModel(t *testing.T) {
 	}
 }
 
+// Quadratic models of both forms run replicas on the core engine's pool;
+// the high-order machine has none, so saim rejects replicas there rather
+// than silently running one chain.
 func TestReplicasRejectedOffConstrainedForm(t *testing.T) {
 	b := NewBuilder(2)
 	b.Linear(0, -1).Linear(1, -1).Quadratic(0, 1, 2)
-	m, err := b.Model()
+	m := mustModel(t, b)
+	res, err := SolveModel(context.Background(), "saim", m, WithReplicas(4), WithIterations(10), WithSweepsPerRun(20))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("saim rejected WithReplicas on an unconstrained model: %v", err)
 	}
-	if _, err := SolveModel(context.Background(), "saim", m, WithReplicas(4)); err == nil {
-		t.Fatal("saim accepted WithReplicas on an unconstrained model")
+	if res.Iterations != 4*10 || res.Cost != -1 {
+		t.Fatalf("unconstrained replicas: %d iterations, cost %v", res.Iterations, res.Cost)
+	}
+	b = NewBuilder(3)
+	b.Term(-1, 0, 1, 2)
+	if _, err := SolveModel(context.Background(), "saim", mustModel(t, b), WithReplicas(4)); err == nil {
+		t.Fatal("saim accepted WithReplicas on a high-order model")
 	}
 }
 
@@ -421,35 +430,5 @@ func TestHighOrderReportsSweeps(t *testing.T) {
 	}
 	if res.Sweeps != 20*30 {
 		t.Fatalf("high-order Sweeps = %d, want %d", res.Sweeps, 20*30)
-	}
-}
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	b := NewBuilder(3)
-	b.Linear(0, -6).Linear(1, -5).Linear(2, -8)
-	b.ConstrainLE([]float64{2, 3, 4}, 5)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(p, Options{Iterations: 150, SweepsPerRun: 150, Eta: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != -11 {
-		t.Fatalf("wrapper Solve cost = %v, want -11", res.Cost)
-	}
-	if res.Solver != "saim" {
-		t.Fatalf("wrapper result labeled %q", res.Solver)
-	}
-	par, err := SolveParallel(p, Options{Iterations: 60, SweepsPerRun: 100, Eta: 1, Seed: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Iterations != 180 {
-		t.Fatalf("SolveParallel iterations = %d, want 180", par.Iterations)
-	}
-	if _, err := SolveParallel(p, Options{}, 0); err == nil {
-		t.Fatal("SolveParallel accepted zero replicas")
 	}
 }

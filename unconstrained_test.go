@@ -2,14 +2,6 @@ package saim
 
 import "testing"
 
-func TestBuildUnconstrainedRejectsConstraints(t *testing.T) {
-	b := NewBuilder(2)
-	b.ConstrainLE([]float64{1, 1}, 1)
-	if _, err := b.BuildUnconstrained(); err == nil {
-		t.Fatal("accepted constrained builder")
-	}
-}
-
 func TestMinimizeMaxCutTriangle(t *testing.T) {
 	// Max-cut on a triangle: QUBO min Σ_(i,j)∈E 2x_i x_j − deg_i x_i has
 	// optimal cut 2 (any 2-1 split). In QUBO form for edge (i,j):
@@ -20,14 +12,12 @@ func TestMinimizeMaxCutTriangle(t *testing.T) {
 		b.Linear(e[0], -1).Linear(e[1], -1)
 		b.Quadratic(e[0], e[1], 2)
 	}
-	q, err := b.BuildUnconstrained()
-	if err != nil {
-		t.Fatal(err)
+	m := mustModel(t, b)
+	if m.Form() != FormUnconstrained {
+		t.Fatalf("form = %v, want unconstrained", m.Form())
 	}
-	x, cost, err := Minimize(q, Options{Iterations: 40, SweepsPerRun: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, "saim", m, WithIterations(40), WithSweepsPerRun(100), WithSeed(1))
+	x, cost := res.Assignment, res.Cost
 	if cost != -2 {
 		t.Fatalf("cut energy = %v, want -2", cost)
 	}
@@ -36,29 +26,20 @@ func TestMinimizeMaxCutTriangle(t *testing.T) {
 		t.Fatalf("not a 2-1 split: %v", x)
 	}
 	// Evaluate must agree.
-	ev, err := q.Evaluate(x)
-	if err != nil || ev != cost {
-		t.Fatalf("Evaluate = %v, %v", ev, err)
-	}
-}
-
-func TestMinimizeNil(t *testing.T) {
-	if _, _, err := Minimize(nil, Options{}); err == nil {
-		t.Fatal("accepted nil problem")
+	ev, feasible, err := m.Evaluate(x)
+	if err != nil || ev != cost || !feasible {
+		t.Fatalf("Evaluate = %v, %v, %v", ev, feasible, err)
 	}
 }
 
 func TestQUBOProblemEvaluateErrors(t *testing.T) {
 	b := NewBuilder(2)
 	b.Linear(0, 1)
-	q, err := b.BuildUnconstrained()
-	if err != nil {
-		t.Fatal(err)
+	m := mustModel(t, b)
+	if m.N() != 2 {
+		t.Fatalf("N = %d", m.N())
 	}
-	if q.N() != 2 {
-		t.Fatalf("N = %d", q.N())
-	}
-	if _, err := q.Evaluate([]int{1}); err == nil {
+	if _, _, err := m.Evaluate([]int{1}); err == nil {
 		t.Fatal("accepted short assignment")
 	}
 }
