@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/ising"
+	"github.com/ising-machines/saim/internal/pbit"
 )
 
 // The engine contract: once a solve is warmed up (machine built, scratch
@@ -133,5 +136,48 @@ func TestEngineReuseDeterminism(t *testing.T) {
 		if reused.Lambda[i] != fresh.Lambda[i] {
 			t.Fatal("λ trajectories diverged between reused and fresh engines")
 		}
+	}
+}
+
+// The packed engine holds the same contract, and its lane windows must not
+// break it: handing each run to the window goroutines may not allocate.
+// testing.AllocsPerRun forces GOMAXPROCS 1, which never starts a window
+// goroutine, so this counts mallocs across whole 64-replica solves under
+// GOMAXPROCS ≥ 2 (two windows or more). Each solve starts its window
+// goroutines once, and the runtime may or may not allocate a goroutine or
+// a wait record for them, so two solves differ by a few mallocs however
+// long they run. The pin is therefore "no per-iteration allocation": one
+// malloc per run would add 200 over the extra iterations, and the jitter
+// stays far below a tenth of that. Other goroutines' mallocs land in the
+// same counter, so each budget keeps its quietest of three solves.
+func TestPackedSolveSteadyStateZeroAllocs(t *testing.T) {
+	const small, large = 5, 205
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	p, _ := knapsackProblem(
+		[]float64{6, 5, 8, 9, 6, 7, 3}, []float64{2, 3, 6, 7, 5, 9, 4}, 15)
+	solve := func(iters int) {
+		if _, err := SolveParallel(p, Options{
+			Iterations: iters, SweepsPerRun: 25, Eta: 0.5, Seed: 7, Packed: PackedOn,
+		}, pbit.Lanes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve(small) // builds lazily-initialized runtime and engine state
+	measure := func(iters int) uint64 {
+		best := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			solve(iters)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	base, big := measure(small), measure(large)
+	if big > base && big-base >= (large-small)/10 {
+		t.Fatalf("packed SAIM iterations allocate: %d mallocs/solve at %d iterations vs %d at %d (+%d over %d extra iterations)",
+			base, small, big, large, big-base, large-small)
 	}
 }

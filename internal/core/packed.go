@@ -14,8 +14,9 @@ import (
 // packedEngine drives one pbit packed kernel (64 replica lanes over one
 // shared Hamiltonian) through Algorithm 1 in lockstep: per iteration it
 // re-programs every active lane's biases from that lane's private λ, runs
-// ONE packed annealing run advancing all lanes, then samples, updates λ,
-// and checks the stop rules per lane on the CPU side.
+// ONE packed annealing run advancing all lanes — its lane windows sweeping
+// concurrently, joined once — then samples, updates λ, and checks the
+// stop rules per lane on the CPU side.
 //
 // Determinism contract: lane r seeded with seed_r reproduces exactly the
 // Result a scalar engine.solve(ctx, seed_r, …) produces — same machine
@@ -42,8 +43,9 @@ type packedEngine struct {
 
 // newPackedEngine builds a packed worker around the compiled program. The
 // kernel (dense or CSR) follows the same Machine kind resolution as the
-// scalar factories; lane sources are placeholders until reseedLanes.
-func (pr *program) newPackedEngine() *packedEngine {
+// scalar factories and splits its lanes into `windows` lane windows; lane
+// sources are placeholders until solve reseeds them.
+func (pr *program) newPackedEngine(windows int) *packedEngine {
 	ext := pr.prob.Ext
 	pe := &packedEngine{
 		pr:        pr,
@@ -58,9 +60,9 @@ func (pr *program) newPackedEngine() *packedEngine {
 		pe.step = lagrange.DecayStep{Eta0: pr.o.Eta, Power: pr.o.EtaDecayPower}
 	}
 	if pr.o.Machine.Resolve(pr.model) == MachineSparse {
-		pe.pk = pbit.NewPackedSparse(pr.model, rng.New(pr.o.Seed))
+		pe.pk = pbit.NewPackedSparseWindows(pr.model, rng.New(pr.o.Seed), windows)
 	} else {
-		pe.pk = pbit.NewPacked(pr.model, rng.New(pr.o.Seed))
+		pe.pk = pbit.NewPackedWindows(pr.model, rng.New(pr.o.Seed), windows)
 	}
 	for r := 0; r < pbit.Lanes; r++ {
 		pe.lams[r] = lagrange.New(ext.M(), pr.o.Eta)
@@ -156,11 +158,9 @@ func (pe *packedEngine) solve(ctx context.Context, seeds []uint64, traces []*Tra
 		// One packed annealing run advances every lane together.
 		if k == 0 && warm {
 			pe.pk.SetAllLanesState(pe.spins)
+			pe.pk.AnnealFromRun(pr.sched, o.SweepsPerRun)
 		} else {
-			pe.pk.Randomize()
-		}
-		for t := 0; t < o.SweepsPerRun; t++ {
-			pe.pk.Sweep(pr.sched.Beta(t, o.SweepsPerRun))
+			pe.pk.AnnealRun(pr.sched, o.SweepsPerRun)
 		}
 
 		// Sample, track, and update λ per active lane.

@@ -53,11 +53,13 @@ func equalResults(t *testing.T, r int, got, want *Result) {
 	}
 }
 
-// The engine-level pin of the tentpole: every lane of the packed engine
+// The engine-level pin of the packed path: every lane of the packed engine
 // must reproduce, bit-for-bit, the Result the scalar engine produces for
 // the same replica seed — including lanes frozen early by patience while
-// their siblings keep sweeping. The unconstrained input (M = 0, a sparse
-// max-cut-like QUBO) pins the lifted replica path of unconstrained models.
+// their siblings keep sweeping — at every lane-window count (1, the even
+// split, the uneven 3- and 5-window splits, one octet per window). The
+// unconstrained input (M = 0, a sparse max-cut-like QUBO) pins the lifted
+// replica path of unconstrained models.
 func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
 	knap, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
 	for _, c := range []struct {
@@ -83,36 +85,41 @@ func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
 			for r := range seeds {
 				seeds[r] = replicaSeed(o.Seed, r)
 			}
-			pe := pr.newPackedEngine()
-			traces := make([]*Trace, pbit.Lanes)
-			for r := range traces {
-				traces[r] = &Trace{}
-			}
-			got := pe.solve(context.Background(), seeds, traces, nil, nil)
-
 			eng := pr.newEngine()
+			want := make([]*Result, pbit.Lanes)
+			wantTraces := make([]*Trace, pbit.Lanes)
 			sawEarlyStop := false
-			for r, res := range got {
-				tr := &Trace{}
-				want, err := eng.solve(context.Background(), seeds[r], tr, nil)
-				if err != nil {
+			for r := range want {
+				wantTraces[r] = &Trace{}
+				if want[r], err = eng.solve(context.Background(), seeds[r], wantTraces[r], nil); err != nil {
 					t.Fatal(err)
 				}
-				equalResults(t, r, res, want)
-				if want.Stopped == StopPatience {
-					sawEarlyStop = true
-				}
-				if len(traces[r].Cost) != len(tr.Cost) {
-					t.Fatalf("replica %d: trace length %d, want %d", r, len(traces[r].Cost), len(tr.Cost))
-				}
-				for k := range tr.Cost {
-					if traces[r].Cost[k] != tr.Cost[k] || traces[r].Energy[k] != tr.Energy[k] {
-						t.Fatalf("replica %d: trace diverges at iteration %d", r, k)
-					}
-				}
+				sawEarlyStop = sawEarlyStop || want[r].Stopped == StopPatience
 			}
 			if !sawEarlyStop {
 				t.Error("no replica stopped on patience; the done-lane freezing path went unexercised — lower Patience")
+			}
+
+			for _, windows := range []int{1, 2, 3, 5, 8} {
+				pe := pr.newPackedEngine(windows)
+				traces := make([]*Trace, pbit.Lanes)
+				for r := range traces {
+					traces[r] = &Trace{}
+				}
+				got := pe.solve(context.Background(), seeds, traces, nil, nil)
+				pe.pk.Close()
+				for r, res := range got {
+					equalResults(t, r, res, want[r])
+					tr := wantTraces[r]
+					if len(traces[r].Cost) != len(tr.Cost) {
+						t.Fatalf("%d windows, replica %d: trace length %d, want %d", windows, r, len(traces[r].Cost), len(tr.Cost))
+					}
+					for k := range tr.Cost {
+						if traces[r].Cost[k] != tr.Cost[k] || traces[r].Energy[k] != tr.Energy[k] {
+							t.Fatalf("%d windows, replica %d: trace diverges at iteration %d", windows, r, k)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -108,12 +108,15 @@ func SolveParallel(p *Problem, opts Options, replicas int) (*Result, error) {
 // best-so-far result is returned with Stopped == StopCancelled.
 //
 // The energy model is compiled once and shared; each of the
-// min(GOMAXPROCS, replicas) workers owns one long-lived engine — machine,
+// min(GOMAXPROCS, tasks) workers owns one long-lived engine — machine,
 // multiplier state, and scratch — reused (reseeded) across every replica it
 // picks up, so per-replica setup is O(N) instead of an O(N²) model +
-// machine rebuild. Progress callbacks from all replicas are merged
-// thread-safely into fleet-wide totals, and the winning replica's
-// trajectory is copied into Options.Trace when one is supplied.
+// machine rebuild. A packed 64-lane group is one task; when there are
+// fewer tasks than Ps, each group's lanes anneal in several concurrent
+// lane windows, so a lone group still uses every core. Progress callbacks
+// from all replicas are merged thread-safely into fleet-wide totals, and
+// the winning replica's trajectory is copied into Options.Trace when one
+// is supplied.
 func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replicas int) (*Result, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("core: SolveParallel requires replicas > 0, got %d", replicas)
@@ -168,10 +171,14 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 	packed := opts.Factory == nil && pr.o.Packed != PackedOff && replicas >= pbit.Lanes
 	tasks := buildReplicaTasks(replicas, packed)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	procs := runtime.GOMAXPROCS(0)
+	workers := min(procs, len(tasks))
+	// Cores the tasks leave idle go to the packed groups: each splits its
+	// lanes into lane windows that sweep concurrently, at most one window
+	// per spare P and one octet per window. A lone group on 2 Ps gets 2
+	// windows; two groups on 2 Ps keep one each. Windows change no lane's
+	// trajectory, only wall time.
+	windows := min(pbit.MaxWindows, max(1, procs/len(tasks)))
 	jobs := make(chan replicaTask)
 	// failed stops the task feeder (and makes draining workers skip queued
 	// tasks) as soon as any replica errors: an error aborts the whole solve,
@@ -184,6 +191,11 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 			defer wg.Done()
 			var eng *engine        // scalar worker state, built on first scalar task
 			var peng *packedEngine // packed worker state, built on first packed task
+			defer func() {
+				if peng != nil {
+					peng.pk.Close()
+				}
+			}()
 			for t := range jobs {
 				if failed.Load() {
 					continue // drain without starting new replicas
@@ -213,7 +225,7 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 					continue
 				}
 				if peng == nil {
-					peng = pr.newPackedEngine()
+					peng = pr.newPackedEngine(windows)
 				}
 				seeds := make([]uint64, t.count)
 				progs := make([]func(ProgressInfo), t.count)

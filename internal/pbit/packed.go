@@ -1,18 +1,28 @@
 // Multi-spin coding: 64 replicas of one Hamiltonian swept in lockstep,
-// their spin states packed one bit per replica into a single uint64 word
-// per spin. Every J-row load, noise batch, and threshold pass is amortized
-// across the whole fleet — the classic p-computer trick the replica pool
+// their spin states packed one bit per replica into uint64 words. Every
+// J-row load, noise batch, and threshold pass is amortized across the
+// lanes — the classic p-computer trick the replica pool
 // (internal/core/parallel.go) previously paid per replica.
 //
-// Layout ("lane" = replica index r ∈ [0, 64)):
+// Layout ("lane" = replica index r ∈ [0, 64)). The lanes are split into
+// k ≤ 8 lane windows; window j holds lanes [lo, lo+w), w a multiple of 8
+// (the octet rng.FillSym8Strided fills), and owns:
 //
-//   - states[i] bit r      — spin i of replica r (+1 when set, −1 clear)
-//   - fields[i·64+r]       — replica r's local field I_i, lane-blocked so
-//     the per-spin threshold pass and the flip propagation both touch 64
-//     contiguous float64 (8 cache lines, 16 AVX2 vectors)
-//   - hb[i·64+r]           — replica r's private bias h_i (each lane runs
+//   - states[i] bit k      — spin i of lane lo+k (+1 when set, −1 clear)
+//   - fields[i·w+k]        — lane lo+k's local field I_i, lane-blocked so
+//     the per-spin threshold pass and the flip propagation both touch w
+//     contiguous float64 (w/8 cache lines, w/4 AVX2 vectors)
+//   - hb[i·w+k]            — lane lo+k's private bias h_i (each lane runs
 //     its own λ trajectory, so biases diverge across lanes)
-//   - noise[i·64+r]        — per-sweep uniform noise, one draw per lane
+//   - noise[i·w+k]         — per-sweep uniform noise, one draw per lane
+//   - its own flip scratch (per-lane deltas, active groups)
+//
+// The windows partition one n×64 array each for fields, biases and noise
+// (window j's n×w block sits at offset n·lo), so one window (w = 64) is
+// the single-group layout byte for byte and more windows cost no memory.
+// No window reads another's lanes, so AnnealRun sweeps the windows of one
+// run concurrently — windows 1…k−1 on goroutines, window 0 on the caller
+// — and joins once per run.
 //
 // Couplings stay real-valued, so the field arithmetic is ordinary float64
 // math; only the state and the per-spin flip/want decisions are bitwise.
@@ -21,14 +31,16 @@
 // spin; Sweep: one Sym per spin), and the field updates replicate the
 // scalar kernels' accumulation order per lane — so given the same
 // per-replica sources the packed kernels reproduce 64 scalar trajectories
-// bit-for-bit. packed_test.go pins this differentially against the scalar
-// machines; the golden-trajectory tests keep pinning the scalar path
-// itself. See DESIGN.md §5.5.
+// bit-for-bit, at any window count. packed_test.go pins this
+// differentially against the scalar machines; the golden-trajectory tests
+// keep pinning the scalar path itself. See DESIGN.md §5.5.
 package pbit
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"sync"
 
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
@@ -39,8 +51,16 @@ import (
 // Lanes is the replica capacity of one packed machine: the word width.
 const Lanes = 64
 
-// laneGroups is Lanes/4, the number of 4-lane vector groups per spin.
+// laneGroups is Lanes/4, the most 4-lane vector groups one window holds.
 const laneGroups = Lanes / 4
+
+// octet is the lane granularity of a window: rng.FillSym8Strided fills
+// eight adjacent lanes per call, and eight float64 are one cache line.
+const octet = 8
+
+// MaxWindows is the most lane windows a packed machine splits into: one
+// octet each.
+const MaxWindows = Lanes / octet
 
 // PackedKernel is the contract shared by the dense and CSR packed
 // machines; internal/core's packed replica engine drives it.
@@ -62,41 +82,169 @@ type PackedKernel interface {
 	SetAllLanesState(s ising.Spins)
 	// Randomize draws a fresh uniform configuration per lane.
 	Randomize()
-	// Sweep runs one Monte-Carlo sweep of all 64 lanes.
+	// Sweep runs one Monte-Carlo sweep of all 64 lanes, window by window
+	// on the caller.
 	Sweep(beta float64)
+	// AnnealRun runs one annealing run on every lane: a fresh random
+	// start, then `sweeps` packed sweeps with β following sched (cf.
+	// Machine.AnnealInto). The lane windows run concurrently and join
+	// once, before AnnealRun returns.
+	AnnealRun(sched schedule.Schedule, sweeps int)
+	// AnnealFromRun is AnnealRun from the current lane states, without
+	// re-randomizing (the warm-start path, cf. Machine.AnnealFromInto).
+	AnnealFromRun(sched schedule.Schedule, sweeps int)
+	// Close stops the goroutines the windows' concurrent runs use.
+	Close()
 }
 
-// packedCore holds the lane-blocked state shared by both packed machines.
-type packedCore struct {
-	n      int
+// window is one octet-aligned run of lanes, [lo, lo+w), with its own
+// lane-blocked arrays (stride w), state words and flip scratch. Bit k of a
+// state word is lane lo+k; bits ≥ w stay clear.
+type window struct {
+	lo, w  int
 	states []uint64
 	fields []float64
 	hb     []float64
 	noise  []float64
-	d      [Lanes]float64    // per-lane flip deltas (±2 or 0), scratch
-	groups [laneGroups]int32 // active 4-lane groups of the current flip
-	srcs   [Lanes]*rng.Source
-	sweeps int64
+	srcs   []*rng.Source  // the machine's sources for lanes lo…lo+w−1
+	d      [Lanes]float64 // per-lane flip deltas (±2 or 0), scratch
+	groups [laneGroups]int32
+	// Keeps d and groups, written on every multi-lane flip, off the cache
+	// lines of the next window, which sweeps on another core.
+	_ [64]byte
 }
 
-func newPackedCore(h vecmat.Vec, src *rng.Source) packedCore {
-	n := len(h)
-	c := packedCore{
-		n:      n,
-		states: make([]uint64, n),
-		fields: make([]float64, n*Lanes),
-		hb:     make([]float64, n*Lanes),
-		noise:  make([]float64, n*Lanes),
-	}
-	for i, v := range h {
-		for r := 0; r < Lanes; r++ {
-			c.hb[i*Lanes+r] = v
+// randomize draws a fresh uniform configuration per lane, each lane
+// consuming exactly the draws — in the same order — a scalar Randomize
+// with the same source would (one Bool(0.5) per spin).
+func (win *window) randomize() {
+	clear(win.states)
+	for k, src := range win.srcs {
+		bit := uint64(1) << k
+		for i := range win.states {
+			if src.Bool(0.5) {
+				win.states[i] |= bit
+			}
 		}
 	}
-	for r := 0; r < Lanes; r++ {
+}
+
+// fillNoise batch-draws each lane's per-sweep noise into the window's
+// lane-blocked buffer: lane lo+k's draw for spin i lands at noise[i·w+k],
+// preserving each lane's scalar stream order (one Sym per spin).
+//
+//saim:hotpath
+func (win *window) fillNoise() {
+	n := len(win.states)
+	if n == 0 {
+		return
+	}
+	srcs, noise := win.srcs, win.noise
+	for len(srcs) >= octet {
+		rng.FillSym8Strided((*[octet]*rng.Source)(srcs), noise, n, win.w)
+		srcs, noise = srcs[octet:], noise[octet:]
+	}
+}
+
+// spinFloats expands the window's states into ±1.0 per (spin, lane) in
+// its noise buffer, which is dead outside a sweep.
+func (win *window) spinFloats() {
+	w := win.w
+	for i, s := range win.states {
+		for k := 0; k < w; k++ {
+			win.noise[i*w+k] = float64(int64(s>>k&1)*2 - 1)
+		}
+	}
+}
+
+// packedCore holds the windowed lane state shared by both packed
+// machines. It must not be copied: the window goroutines and each
+// window's source slice point back into it.
+type packedCore struct {
+	n      int
+	wins   []window
+	srcs   [Lanes]*rng.Source
+	sweeps int64
+
+	// The machine's window kernels, bound once at construction.
+	sweepWin     func(win *window, beta float64)
+	recomputeWin func(win *window)
+
+	// One run's parameters: written before the windows start, read-only
+	// while they run.
+	sched     schedule.Schedule
+	runSweeps int
+	fresh     bool
+	// start[j-1] hands window j a run. Its goroutine, started by the first
+	// concurrent run and kept until Close, signals wg when the run is done,
+	// so a solve starts k−1 goroutines, not k−1 per run, and dispatching a
+	// run allocates nothing.
+	start []chan struct{}
+	wg    sync.WaitGroup
+}
+
+// build splits the lanes into `windows` octet-aligned windows (clamped to
+// [1, MaxWindows]) as even as octets allow — 3 windows hold 24, 24 and 16
+// lanes — with per-lane sources split off src in lane order and every
+// lane's bias set to h. Fields are the caller's to build.
+func (c *packedCore) build(h vecmat.Vec, src *rng.Source, windows int, sweepWin func(*window, float64), recomputeWin func(*window)) {
+	n := len(h)
+	nwin := min(max(windows, 1), MaxWindows)
+	c.n = n
+	c.sweepWin, c.recomputeWin = sweepWin, recomputeWin
+	for r := range c.srcs {
 		c.srcs[r] = src.Split()
 	}
-	return c
+	// Every block below is a multiple of 64 bytes, which Go's size
+	// classes place on 64-byte boundaries, so window boundaries are cache
+	// line boundaries: state words pad each window to whole lines.
+	fields := make([]float64, n*Lanes)
+	hb := make([]float64, n*Lanes)
+	noise := make([]float64, n*Lanes)
+	stride := (n + octet - 1) &^ (octet - 1)
+	states := make([]uint64, nwin*stride)
+	c.wins = make([]window, nwin)
+	lo := 0
+	for j := range c.wins {
+		w := octet * (MaxWindows / nwin)
+		if j < MaxWindows%nwin {
+			w += octet
+		}
+		win := &c.wins[j]
+		win.lo, win.w = lo, w
+		win.states = states[j*stride : j*stride+n]
+		win.fields = fields[n*lo : n*(lo+w)]
+		win.hb = hb[n*lo : n*(lo+w)]
+		win.noise = noise[n*lo : n*(lo+w)]
+		win.srcs = c.srcs[lo : lo+w]
+		for i, v := range h {
+			for k := 0; k < w; k++ {
+				win.hb[i*w+k] = v
+			}
+		}
+		lo += w
+	}
+}
+
+// setUniformField sets spin i's field on every lane of every window to f.
+func (c *packedCore) setUniformField(i int, f float64) {
+	for j := range c.wins {
+		win := &c.wins[j]
+		row := win.fields[i*win.w : (i+1)*win.w]
+		for k := range row {
+			row[k] = f
+		}
+	}
+}
+
+// lane returns the window holding lane r and r's offset in it.
+func (c *packedCore) lane(r int) (*window, int) {
+	for j := range c.wins {
+		if win := &c.wins[j]; r >= win.lo && r < win.lo+win.w {
+			return win, r - win.lo
+		}
+	}
+	panic(fmt.Sprintf("pbit: lane %d out of range", r))
 }
 
 // N returns the number of p-bits per lane.
@@ -115,10 +263,11 @@ func (c *packedCore) UpdateLaneBiases(r int, h vecmat.Vec) {
 	if len(h) != c.n {
 		panic("pbit: UpdateLaneBiases dimension mismatch")
 	}
+	win, k := c.lane(r)
 	for i := 0; i < c.n; i++ {
-		idx := i*Lanes + r
-		c.fields[idx] += h[i] - c.hb[idx]
-		c.hb[idx] = h[i]
+		idx := i*win.w + k
+		win.fields[idx] += h[i] - win.hb[idx]
+		win.hb[idx] = h[i]
 	}
 }
 
@@ -127,67 +276,119 @@ func (c *packedCore) LaneStateInto(dst ising.Spins, r int) {
 	if len(dst) != c.n {
 		panic("pbit: LaneStateInto dimension mismatch")
 	}
-	for i, w := range c.states {
-		dst[i] = int8(int64(w>>r&1)*2 - 1)
+	win, k := c.lane(r)
+	for i, s := range win.states {
+		dst[i] = int8(int64(s>>k&1)*2 - 1)
 	}
 }
 
-// setAllLanesBits installs one configuration on every lane (fields are the
-// caller's responsibility).
-func (c *packedCore) setAllLanesBits(s ising.Spins) {
+// SetAllLanesState installs one configuration on every lane and
+// recomputes the fields.
+func (c *packedCore) SetAllLanesState(s ising.Spins) {
 	if len(s) != c.n {
 		panic("pbit: SetAllLanesState dimension mismatch")
 	}
-	for i, v := range s {
-		if v == 1 {
-			c.states[i] = ^uint64(0)
-		} else {
-			c.states[i] = 0
-		}
-	}
-}
-
-// randomizeBits draws a fresh uniform configuration per lane, each lane
-// consuming exactly the draws — in the same order — a scalar Randomize
-// with the same source would (one Bool(0.5) per spin).
-func (c *packedCore) randomizeBits() {
-	for i := range c.states {
-		c.states[i] = 0
-	}
-	for r := 0; r < Lanes; r++ {
-		src := c.srcs[r]
-		bit := uint64(1) << r
-		for i := 0; i < c.n; i++ {
-			if src.Bool(0.5) {
-				c.states[i] |= bit
+	for j := range c.wins {
+		win := &c.wins[j]
+		all := ^uint64(0) >> (Lanes - win.w)
+		for i, v := range s {
+			if v == 1 {
+				win.states[i] = all
+			} else {
+				win.states[i] = 0
 			}
 		}
+		c.recomputeWin(win)
 	}
 }
 
-// fillNoise batch-draws each lane's per-sweep noise into the lane-blocked
-// buffer: lane r's draw for spin i lands at noise[i·64+r], preserving each
-// lane's scalar stream order (one Sym per spin).
-//
-//saim:hotpath
-func (c *packedCore) fillNoise() {
-	for g := 0; g < laneGroups; g += 2 {
-		b := g * 4
-		oct := [8]*rng.Source{
-			c.srcs[b], c.srcs[b+1], c.srcs[b+2], c.srcs[b+3],
-			c.srcs[b+4], c.srcs[b+5], c.srcs[b+6], c.srcs[b+7],
-		}
-		rng.FillSym8Strided(&oct, c.noise[b:], c.n, Lanes)
+// Randomize draws a fresh uniform configuration per lane.
+func (c *packedCore) Randomize() {
+	for j := range c.wins {
+		c.wins[j].randomize()
+		c.recomputeWin(&c.wins[j])
 	}
 }
 
-// spinFloats expands the packed states into ±1.0 per (spin, lane) using
-// dst as scratch (length n·Lanes).
-func (c *packedCore) spinFloats(dst []float64) {
-	for i, w := range c.states {
-		for r := 0; r < Lanes; r++ {
-			dst[i*Lanes+r] = float64(int64(w>>r&1)*2 - 1)
-		}
+// RecomputeFields rebuilds every lane's local fields from scratch,
+// replicating the scalar machine's accumulation order per lane.
+func (c *packedCore) RecomputeFields() {
+	for j := range c.wins {
+		c.recomputeWin(&c.wins[j])
+	}
+}
+
+// Sweep runs one Monte-Carlo sweep of all 64 lanes, window by window.
+func (c *packedCore) Sweep(beta float64) {
+	for j := range c.wins {
+		c.sweepWin(&c.wins[j], beta)
+	}
+	c.sweeps++
+}
+
+// AnnealRun runs one annealing run on every lane from a fresh random
+// start, the windows concurrently.
+func (c *packedCore) AnnealRun(sched schedule.Schedule, sweeps int) {
+	c.run(sched, sweeps, true)
+}
+
+// AnnealFromRun continues annealing from the current lane states.
+func (c *packedCore) AnnealFromRun(sched schedule.Schedule, sweeps int) {
+	c.run(sched, sweeps, false)
+}
+
+// run executes one annealing run: windows 1…k−1 on their goroutines,
+// window 0 on the caller, then one join.
+func (c *packedCore) run(sched schedule.Schedule, sweeps int, fresh bool) {
+	c.sched, c.runSweeps, c.fresh = sched, sweeps, fresh
+	if c.start == nil && len(c.wins) > 1 {
+		c.startWindows()
+	}
+	c.wg.Add(len(c.start))
+	for _, ch := range c.start {
+		ch <- struct{}{}
+	}
+	c.runWindow(&c.wins[0])
+	c.wg.Wait()
+	c.sweeps += int64(sweeps)
+}
+
+// startWindows starts one goroutine per window beyond the first; each runs
+// its window once per value received and exits when Close closes its
+// channel.
+func (c *packedCore) startWindows() {
+	c.start = make([]chan struct{}, len(c.wins)-1)
+	for j := range c.start {
+		ch, win := make(chan struct{}), &c.wins[j+1]
+		c.start[j] = ch
+		go func() {
+			for range ch {
+				c.runWindow(win)
+				c.wg.Done()
+			}
+		}()
+	}
+}
+
+// Close stops the window goroutines the machine's concurrent runs
+// started; a machine with more than one window that has annealed must be
+// closed, or they stay parked for the life of the process. The machine
+// remains usable: its next run starts them again.
+func (c *packedCore) Close() {
+	for _, ch := range c.start {
+		close(ch)
+	}
+	c.start = nil
+}
+
+// runWindow runs the current run's start and sweeps on one window.
+func (c *packedCore) runWindow(win *window) {
+	if c.fresh {
+		win.randomize()
+		c.recomputeWin(win)
+	}
+	for t := 0; t < c.runSweeps; t++ {
+		c.sweepWin(win, c.sched.Beta(t, c.runSweeps))
 	}
 }
 
@@ -199,18 +400,34 @@ type PackedMachine struct {
 	model *ising.Model
 }
 
-// NewPacked returns a dense packed machine with every lane's spins at −1
-// and per-lane sources split off src (in lane order). ReseedLane overrides
-// individual lanes; the model must satisfy Validate.
+// NewPacked returns a one-window dense packed machine with every lane's
+// spins at −1 and per-lane sources split off src (in lane order).
+// ReseedLane overrides individual lanes; the model must satisfy Validate.
 func NewPacked(model *ising.Model, src *rng.Source) *PackedMachine {
+	return NewPackedWindows(model, src, 1)
+}
+
+// NewPackedWindows is NewPacked with the lanes split into `windows` lane
+// windows (clamped to [1, MaxWindows]) that AnnealRun sweeps concurrently;
+// Close the machine when done with it. The window count changes no lane's
+// trajectory.
+func NewPackedWindows(model *ising.Model, src *rng.Source, windows int) *PackedMachine {
 	if err := model.Validate(); err != nil {
 		panic(fmt.Sprintf("pbit: invalid model: %v", err))
 	}
-	m := &PackedMachine{
-		packedCore: newPackedCore(model.H, src),
-		model:      model,
+	m := &PackedMachine{model: model}
+	m.build(model.H, src, windows, m.sweepWindow, m.recomputeWindow)
+	// Every lane starts at −1 with the model's h, so all lanes' fields are
+	// equal: build one lane in recomputeWindow's order and copy it.
+	for i := 0; i < m.n; i++ {
+		f := model.H[i]
+		for _, w := range model.J.Row(i) {
+			if w != 0 {
+				f += w * -1
+			}
+		}
+		m.setUniformField(i, f)
 	}
-	m.RecomputeFields()
 	return m
 }
 
@@ -218,93 +435,60 @@ func NewPacked(model *ising.Model, src *rng.Source) *PackedMachine {
 // live in private per-lane copies).
 func (m *PackedMachine) Model() *ising.Model { return m.model }
 
-// RecomputeFields rebuilds every lane's local fields from scratch,
-// replicating the scalar LocalField accumulation order per lane: for each
-// spin i, start from h_i and add J_ij·m_j for j = 0…n−1.
-func (m *PackedMachine) RecomputeFields() {
-	m.spinFloats(m.noise) // noise is dead outside Sweep; reuse as scratch
+// recomputeWindow rebuilds one window's fields from scratch, replicating
+// the scalar LocalField accumulation order per lane: for each spin i,
+// start from h_i and add J_ij·m_j for j = 0…n−1.
+func (m *PackedMachine) recomputeWindow(win *window) {
+	w := win.w
+	win.spinFloats()
 	for i := 0; i < m.n; i++ {
-		row := m.model.J.Row(i)
-		acc := m.fields[i*Lanes : i*Lanes+Lanes]
-		copy(acc, m.hb[i*Lanes:i*Lanes+Lanes])
-		for j, w := range row {
-			if w == 0 {
+		acc := win.fields[i*w : (i+1)*w]
+		copy(acc, win.hb[i*w:(i+1)*w])
+		for j, wt := range m.model.J.Row(i) {
+			if wt == 0 {
 				continue // adds only ±0, which no lane's decisions can see
 			}
-			sf := m.noise[j*Lanes : j*Lanes+Lanes]
-			for r := 0; r < Lanes; r++ {
-				acc[r] += w * sf[r]
+			sf := win.noise[j*w : (j+1)*w]
+			for k := range acc {
+				acc[k] += wt * sf[k]
 			}
 		}
 	}
 }
 
-// SetAllLanesState installs one configuration on every lane.
-func (m *PackedMachine) SetAllLanesState(s ising.Spins) {
-	m.setAllLanesBits(s)
-	m.RecomputeFields()
-}
-
-// Randomize draws a fresh uniform configuration per lane.
-func (m *PackedMachine) Randomize() {
-	m.randomizeBits()
-	m.RecomputeFields()
-}
-
-// Sweep runs one Monte-Carlo sweep of all 64 lanes: per spin, one packed
-// threshold pass turns 64 wantSpin decisions into a comparison-mask word
-// (saturation shortcut preserved per lane), the flip mask is XOR-ed into
-// the state word, and the J row is walked once, adding ±2w per flipped
-// lane via sign-select deltas. Single-lane flips — the common case once
-// the anneal cools — take a strided scalar walk instead, which costs
+// sweepWindow runs one Monte-Carlo sweep of one window: per spin, one
+// packed threshold pass turns w wantSpin decisions into a comparison-mask
+// word (saturation shortcut preserved per lane), the flip mask is XOR-ed
+// into the state word, and the J row is walked once, adding ±2w per
+// flipped lane via sign-select deltas. Single-lane flips — the common case
+// once the anneal cools — take a strided scalar walk instead, which costs
 // exactly one scalar machine's flip.
 //
 //saim:hotpath
-func (m *PackedMachine) Sweep(beta float64) {
-	n := m.n
-	if n == 0 {
-		m.sweeps++
-		return
-	}
-	m.fillNoise()
-	for i := 0; i < n; i++ {
-		base := i * Lanes
-		want := packedWant(beta, m.fields[base:base+Lanes], m.noise[base:base+Lanes])
-		fl := want ^ m.states[i]
+func (m *PackedMachine) sweepWindow(win *window, beta float64) {
+	w := win.w
+	win.fillNoise()
+	fields, noise := win.fields, win.noise
+	for i, s := range win.states {
+		base := i * w
+		want := packedWant(beta, fields[base:base+w], noise[base:base+w])
+		fl := want ^ s
 		if fl == 0 {
 			continue
 		}
-		m.states[i] = want
+		win.states[i] = want
 		row := m.model.J.Row(i)
 		if fl&(fl-1) == 0 {
-			r := bits.TrailingZeros64(fl)
+			k := bits.TrailingZeros64(fl)
 			delta := -2.0
-			if want>>uint(r)&1 != 0 {
+			if want>>uint(k)&1 != 0 {
 				delta = 2.0
 			}
-			flipApplySingleDense(row, m.fields[r:], delta)
+			flipApplySingleDense(row, fields[k:], w, delta)
 		} else {
-			ng := buildDeltas(fl, want, &m.d, &m.groups)
-			flipApplyDense(row, m.fields, &m.d, m.groups[:ng])
+			ng := buildDeltas(fl, want, &win.d, &win.groups)
+			flipApplyDense(row, fields, w, &win.d, win.groups[:ng])
 		}
-	}
-	m.sweeps++
-}
-
-// AnnealRun runs one annealing run on every lane: fresh random start, then
-// `sweeps` packed sweeps with β following sched (cf. Machine.AnnealInto).
-func (m *PackedMachine) AnnealRun(sched schedule.Schedule, sweeps int) {
-	m.Randomize()
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-}
-
-// AnnealFromRun continues annealing from the current lane states without
-// re-randomizing (the warm-start path, cf. Machine.AnnealFromInto).
-func (m *PackedMachine) AnnealFromRun(sched schedule.Schedule, sweeps int) {
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
 	}
 }
 
@@ -312,19 +496,14 @@ func (m *PackedMachine) AnnealFromRun(sched schedule.Schedule, sweeps int) {
 // incrementally-maintained fields and a from-scratch recomputation over
 // its private biases (test hook).
 func (m *PackedMachine) LaneFieldConsistencyError(r int) float64 {
+	win, k := m.lane(r)
 	worst := 0.0
 	for i := 0; i < m.n; i++ {
-		acc := m.hb[i*Lanes+r]
+		acc := win.hb[i*win.w+k]
 		for j, w := range m.model.J.Row(i) {
-			acc += w * float64(int64(m.states[j]>>r&1)*2-1)
+			acc += w * float64(int64(win.states[j]>>k&1)*2-1)
 		}
-		d := m.fields[i*Lanes+r] - acc
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
+		worst = max(worst, math.Abs(win.fields[i*win.w+k]-acc))
 	}
 	return worst
 }

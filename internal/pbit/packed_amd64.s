@@ -1,8 +1,10 @@
-// AVX2 packed-sweep kernels. Each processes 4 lanes per ymm vector,
-// 16 groups per 64-lane spin block. Floating-point operation order matches
-// the scalar wantSpin / flip kernels exactly (separate multiply and add,
-// never FMA; Padé numerator/denominator evaluated in the scalar nesting
-// order), so results are bit-identical to the portable Go path.
+// AVX2 packed-sweep kernels. Each processes 4 lanes per ymm vector over
+// one lane window: width lanes (a multiple of 8, at most 64) per spin
+// block, width/4 groups, blocks at a stride of width·8 bytes.
+// Floating-point operation order matches the scalar wantSpin / flip
+// kernels exactly (separate multiply and add, never FMA; Padé
+// numerator/denominator evaluated in the scalar nesting order), so results
+// are bit-identical to the portable Go path.
 
 #include "textflag.h"
 
@@ -30,31 +32,33 @@ VCONST(c28<>, $0x403c000000000000)
 VCONST(cNeg1<>, $0xbff0000000000000) // -1.0
 VCONST(cPos1<>, $0x3ff0000000000000) // 1.0
 
-// func packedWantAVX2(beta float64, f, nz *float64) uint64
+// func packedWantAVX2(beta float64, f, nz *float64, width int) uint64
 //
-// Pass A scans all 16 groups branch-free, accumulating two 64-bit masks:
-// hi (x > 5.06 per lane) and sat (|x| beyond either rail). When every lane
-// is saturated — the dominant case late in an anneal — the want word is hi
-// and the Padé evaluation is skipped entirely: the scalar saturation
-// shortcut amortized to one branch per 64 lanes. Otherwise pass B runs the
-// Padé rational in the exact scalar nesting order, adds the noise, and
-// forces saturated lanes to ±1.0 by blend so one sign-mask read per group
-// yields the want nibble. want bit r = 1 ⇔ sum_r >= 0; the sum can never
-// be -0.0 (the noise stream never produces -0.0 and (+0)+(-0) = +0 in
-// round-to-nearest), so the sign bit is exactly the >= 0 decision.
-TEXT ·packedWantAVX2(SB), NOSPLIT, $0-32
+// Pass A scans the window's width/4 groups branch-free, accumulating two
+// masks: hi (x > 5.06 per lane) and sat (|x| beyond either rail). When
+// every lane is saturated — the dominant case late in an anneal — the want
+// word is hi and the Padé evaluation is skipped entirely: the scalar
+// saturation shortcut amortized to one branch per window. Otherwise pass B
+// runs the Padé rational in the exact scalar nesting order, adds the
+// noise, and forces saturated lanes to ±1.0 by blend so one sign-mask read
+// per group yields the want nibble. want bit k = 1 ⇔ sum_k >= 0; the sum
+// can never be -0.0 (the noise stream never produces -0.0 and (+0)+(-0) =
+// +0 in round-to-nearest), so the sign bit is exactly the >= 0 decision.
+TEXT ·packedWantAVX2(SB), NOSPLIT, $0-40
 	VBROADCASTSD beta+0(FP), Y0
 	MOVQ f+8(FP), SI
 	MOVQ nz+16(FP), DX
+	MOVQ width+24(FP), R12
 	VBROADCASTSD satHi<>(SB), Y1
 	VBROADCASTSD satLo<>(SB), Y2
 
-	// Pass A: walk groups 15..0 two at a time, shift-accumulating the hi
-	// and sat nibbles (R10, R11) from the top down.
-	LEAQ 448(SI), R9 // group 14; 32(R9) is group 15
+	// Pass A: walk the groups top-down two at a time (one octet per
+	// step), shift-accumulating the hi and sat nibbles (R10, R11).
+	LEAQ -64(SI)(R12*8), R9 // second-highest group; 32(R9) is the highest
 	XORQ R10, R10
 	XORQ R11, R11
-	MOVQ $8, R8
+	MOVQ R12, R8
+	SHRQ $3, R8 // width/8 octets
 
 scan:
 	VMOVUPD 32(R9), Y3 // higher group of the pair
@@ -83,9 +87,15 @@ scan:
 	DECQ    R8
 	JNE     scan
 
-	CMPQ R11, $-1
+	// Every lane is saturated iff sat equals the window's lane mask,
+	// ^0 >> (64 − width).
+	MOVQ $64, CX
+	SUBQ R12, CX
+	MOVQ $-1, AX
+	SHRQ CX, AX
+	CMPQ R11, AX
 	JNE  pade
-	MOVQ R10, ret+24(FP) // every lane saturated: want = hi mask
+	MOVQ R10, ret+32(FP) // every lane saturated: want = hi mask
 	VZEROUPPER
 	RET
 
@@ -99,7 +109,8 @@ pade:
 	MOVQ R10, R9 // hi decisions from pass A
 	XORQ R10, R10
 	XORQ CX, CX  // bit position of current group
-	MOVQ $16, R8
+	MOVQ R12, R8
+	SHRQ $2, R8  // width/4 groups
 
 padegroup:
 	MOVQ R11, AX
@@ -151,31 +162,42 @@ padenext:
 	DECQ R8
 	JNE  padegroup
 
-	MOVQ R10, ret+24(FP)
+	MOVQ R10, ret+32(FP)
 	VZEROUPPER
 	RET
 
-// func flipApplyDenseAVX2(row *float64, nrow int, fields *float64, d *[64]float64, groups *int32, ng int)
+// func flipApplyDenseAVX2(row *float64, nrow int, fields *float64, width int, d *[64]float64, groups *int32, ng int)
 //
-// fields[j·64+g·4 .. +4] += row[j]·d[g·4 .. +4] for each j and each active
-// group g. Multiply then add as two separately-rounded ops, matching the
-// scalar fj[b] += w*d[b]. One active group (the common co-flip case once
-// the anneal cools) hoists the group's offset and deltas out of the row
-// walk; all 16 groups active (the flip-heavy early-anneal regime) takes a
-// fully unrolled block with no group indirection.
-TEXT ·flipApplyDenseAVX2(SB), NOSPLIT, $0-48
+// fields[j·width+g·4 .. +4] += row[j]·d[g·4 .. +4] for each j and each
+// active group g. Multiply then add as two separately-rounded ops,
+// matching the scalar fj[b] += w*d[b]. One active group (the common
+// co-flip case once the anneal cools) hoists the group's offset and deltas
+// out of the row walk; every group of the window active (the flip-heavy
+// early-anneal regime) takes a fully unrolled block with no group
+// indirection when the window holds 16 groups (width 64) or 8 (width 32).
+TEXT ·flipApplyDenseAVX2(SB), NOSPLIT, $0-56
 	MOVQ  row+0(FP), SI
 	MOVQ  nrow+8(FP), R8
 	MOVQ  fields+16(FP), DI
-	MOVQ  d+24(FP), R9
-	MOVQ  groups+32(FP), R10
-	MOVQ  ng+40(FP), R11
+	MOVQ  width+24(FP), R12
+	MOVQ  d+32(FP), R9
+	MOVQ  groups+40(FP), R10
+	MOVQ  ng+48(FP), R11
+	SHLQ  $3, R12 // field block stride: width lanes · 8 bytes
 	TESTQ R8, R8
 	JE    done
 	CMPQ  R11, $1
 	JE    onegroup
-	CMPQ  R11, $16
-	JE    fullrow
+	MOVQ  R12, R13
+	SHRQ  $5, R13 // the window's group count, width/4
+	CMPQ  R11, R13
+	JNE   anygroups
+	CMPQ  R13, $16
+	JE    full16
+	CMPQ  R13, $8
+	JE    full8
+
+anygroups:
 	TESTQ R11, R11
 	JE    done
 
@@ -195,7 +217,7 @@ grouploop:
 	JNE     grouploop
 
 	ADDQ $8, SI
-	ADDQ $512, DI // next spin's 64-lane field block
+	ADDQ R12, DI // next spin's field block
 	DECQ R8
 	JNE  rowloop
 	JMP  done
@@ -212,7 +234,7 @@ onerow:
 	VADDPD       (DI), Y1, Y2
 	VMOVUPD      Y2, (DI)
 	ADDQ         $8, SI
-	ADDQ         $512, DI
+	ADDQ         R12, DI
 	DECQ         R8
 	JNE          onerow
 	JMP          done
@@ -223,7 +245,7 @@ onerow:
 	VADDPD  off(DI), Y1, Y2 \
 	VMOVUPD Y2, off(DI)
 
-fullrow:
+full16:
 	VBROADCASTSD (SI), Y0
 	FLIPGROUP(0)
 	FLIPGROUP(32)
@@ -242,39 +264,65 @@ fullrow:
 	FLIPGROUP(448)
 	FLIPGROUP(480)
 	ADDQ $8, SI
-	ADDQ $512, DI
+	ADDQ R12, DI
 	DECQ R8
-	JNE  fullrow
+	JNE  full16
+	JMP  done
+
+full8:
+	VBROADCASTSD (SI), Y0
+	FLIPGROUP(0)
+	FLIPGROUP(32)
+	FLIPGROUP(64)
+	FLIPGROUP(96)
+	FLIPGROUP(128)
+	FLIPGROUP(160)
+	FLIPGROUP(192)
+	FLIPGROUP(224)
+	ADDQ $8, SI
+	ADDQ R12, DI
+	DECQ R8
+	JNE  full8
 
 done:
 	VZEROUPPER
 	RET
 
-// func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, d *[64]float64, groups *int32, ng int)
+// func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, width int, d *[64]float64, groups *int32, ng int)
 //
-// CSR variant: fields[cols[k]·64+…] += ws[k]·d[…] per active group, with
-// the same one-group and sixteen-group specializations.
-TEXT ·flipApplyCSRAVX2(SB), NOSPLIT, $0-56
+// CSR variant: fields[cols[k]·width+…] += ws[k]·d[…] per active group,
+// with the same one-group and every-group specializations.
+TEXT ·flipApplyCSRAVX2(SB), NOSPLIT, $0-64
 	MOVQ  cols+0(FP), SI
 	MOVQ  ws+8(FP), DX
 	MOVQ  nnz+16(FP), R8
 	MOVQ  fields+24(FP), DI
-	MOVQ  d+32(FP), R9
-	MOVQ  groups+40(FP), R10
-	MOVQ  ng+48(FP), R11
+	MOVQ  width+32(FP), CX
+	MOVQ  d+40(FP), R9
+	MOVQ  groups+48(FP), R10
+	MOVQ  ng+56(FP), R11
+	SHLQ  $3, CX // field block stride: width lanes · 8 bytes
 	TESTQ R8, R8
 	JE    done
 	XORQ  R12, R12 // k
 	CMPQ  R11, $1
 	JE    onegroup
-	CMPQ  R11, $16
-	JE    fullentry
+	MOVQ  CX, R13
+	SHRQ  $5, R13 // the window's group count, width/4
+	CMPQ  R11, R13
+	JNE   anygroups
+	CMPQ  R13, $16
+	JE    full16
+	CMPQ  R13, $8
+	JE    full8
+
+anygroups:
 	TESTQ R11, R11
 	JE    done
 
 entryloop:
 	MOVLQSX      (SI)(R12*4), R13 // j = cols[k]
-	SHLQ         $9, R13          // j·64 lanes · 8 bytes
+	IMULQ        CX, R13          // j·stride
 	LEAQ         (DI)(R13*1), R14 // lane block of spin j
 	VBROADCASTSD (DX)(R12*8), Y0  // w = ws[k]
 	XORQ         BX, BX
@@ -303,7 +351,7 @@ onegroup:
 
 oneentry:
 	MOVLQSX      (SI)(R12*4), R13
-	SHLQ         $9, R13
+	IMULQ        CX, R13
 	VBROADCASTSD (DX)(R12*8), Y0
 	VMULPD       Y3, Y0, Y1
 	VADDPD       (DI)(R13*1), Y1, Y2
@@ -319,9 +367,9 @@ oneentry:
 	VADDPD  off(R14), Y1, Y2 \
 	VMOVUPD Y2, off(R14)
 
-fullentry:
+full16:
 	MOVLQSX      (SI)(R12*4), R13
-	SHLQ         $9, R13
+	IMULQ        CX, R13
 	LEAQ         (DI)(R13*1), R14
 	VBROADCASTSD (DX)(R12*8), Y0
 	FLIPGROUPR14(0)
@@ -342,22 +390,42 @@ fullentry:
 	FLIPGROUPR14(480)
 	INCQ R12
 	CMPQ R12, R8
-	JNE  fullentry
+	JNE  full16
+	JMP  done
+
+full8:
+	MOVLQSX      (SI)(R12*4), R13
+	IMULQ        CX, R13
+	LEAQ         (DI)(R13*1), R14
+	VBROADCASTSD (DX)(R12*8), Y0
+	FLIPGROUPR14(0)
+	FLIPGROUPR14(32)
+	FLIPGROUPR14(64)
+	FLIPGROUPR14(96)
+	FLIPGROUPR14(128)
+	FLIPGROUPR14(160)
+	FLIPGROUPR14(192)
+	FLIPGROUPR14(224)
+	INCQ R12
+	CMPQ R12, R8
+	JNE  full8
 
 done:
 	VZEROUPPER
 	RET
 
-// func flipApplySingleDenseAVX2(row *float64, nrow int, fieldsLane *float64, delta float64)
+// func flipApplySingleDenseAVX2(row *float64, nrow int, fieldsLane *float64, width int, delta float64)
 //
-// One-lane flip: fieldsLane[j·64] += row[j]·delta — the scalar flip loop
-// at stride 512 bytes. VEX scalar ops keep the upper ymm state clean, so
-// no VZEROUPPER is needed.
-TEXT ·flipApplySingleDenseAVX2(SB), NOSPLIT, $0-32
+// One-lane flip: fieldsLane[j·width] += row[j]·delta — the scalar flip
+// loop at a stride of width·8 bytes. VEX scalar ops keep the upper ymm
+// state clean, so no VZEROUPPER is needed.
+TEXT ·flipApplySingleDenseAVX2(SB), NOSPLIT, $0-40
 	MOVQ   row+0(FP), SI
 	MOVQ   nrow+8(FP), R8
 	MOVQ   fieldsLane+16(FP), DI
-	VMOVSD delta+24(FP), X0
+	MOVQ   width+24(FP), R9
+	VMOVSD delta+32(FP), X0
+	SHLQ   $3, R9 // stride bytes
 	TESTQ  R8, R8
 	JE     done
 
@@ -367,27 +435,29 @@ loop:
 	VADDSD (DI), X1, X2
 	VMOVSD X2, (DI)
 	ADDQ   $8, SI
-	ADDQ   $512, DI
+	ADDQ   R9, DI
 	DECQ   R8
 	JNE    loop
 
 done:
 	RET
 
-// func flipApplySingleCSRAVX2(cols *int32, ws *float64, nnz int, fieldsLane *float64, delta float64)
-TEXT ·flipApplySingleCSRAVX2(SB), NOSPLIT, $0-40
+// func flipApplySingleCSRAVX2(cols *int32, ws *float64, nnz int, fieldsLane *float64, width int, delta float64)
+TEXT ·flipApplySingleCSRAVX2(SB), NOSPLIT, $0-48
 	MOVQ   cols+0(FP), SI
 	MOVQ   ws+8(FP), DX
 	MOVQ   nnz+16(FP), R8
 	MOVQ   fieldsLane+24(FP), DI
-	VMOVSD delta+32(FP), X0
+	MOVQ   width+32(FP), R9
+	VMOVSD delta+40(FP), X0
+	SHLQ   $3, R9 // stride bytes
 	TESTQ  R8, R8
 	JE     done
 	XORQ   R12, R12
 
 loop:
 	MOVLQSX (SI)(R12*4), R13
-	SHLQ    $9, R13
+	IMULQ   R9, R13
 	VMOVSD  (DX)(R12*8), X1
 	VMULSD  X0, X1, X1
 	VADDSD  (DI)(R13*1), X1, X2

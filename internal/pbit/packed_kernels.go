@@ -2,25 +2,26 @@ package pbit
 
 import "math/bits"
 
-// Portable bodies of the three packed-sweep primitives. On amd64 with AVX2
-// the dispatchers in packed_amd64.go route to hand-written vector kernels;
-// these Go bodies are the reference implementation, the non-amd64 path, and
-// the differential-test oracle (packed_test.go runs both and requires
-// identical trajectories).
+// Portable bodies of the packed-sweep primitives. On amd64 with AVX2 the
+// dispatchers in packed_amd64.go route to hand-written vector kernels;
+// these Go bodies are the reference implementation, the non-amd64 path,
+// and the differential-test oracle (packed_test.go and
+// dispatch_diff_test.go run both and require identical results). Every
+// kernel works on one lane window: field blocks of `width` lanes (a
+// multiple of 8, at most 64) at stride width.
 
-// packedWantGo evaluates the p-bit update rule for all 64 lanes of one
-// spin: bit r of the result is set iff wantSpin(beta·f[r], nz[r]) == +1.
+// packedWantGo evaluates the p-bit update rule for the len(f) lanes of one
+// spin: bit k of the result is set iff wantSpin(beta·f[k], nz[k]) == +1.
 // It calls the same wantSpin the scalar sweeps use, so the packed decision
 // is the scalar decision by construction.
 //
 //saim:hotpath
 func packedWantGo(beta float64, f, nz []float64) uint64 {
-	_ = f[Lanes-1]
-	_ = nz[Lanes-1]
+	nz = nz[:len(f)]
 	var want uint64
-	for r := 0; r < Lanes; r++ {
-		if wantSpin(beta*f[r], nz[r]) == 1 {
-			want |= 1 << r
+	for k, v := range f {
+		if wantSpin(beta*v, nz[k]) == 1 {
+			want |= 1 << k
 		}
 	}
 	return want
@@ -50,8 +51,8 @@ var deltaTab = func() (t [256][4]float64) {
 // buildDeltas converts a flip mask into per-lane field deltas via deltaTab
 // and returns the number of active 4-lane groups written to groups — flip
 // propagation touches only those, so a sparse flip mask costs a few
-// groups, not sixteen. (Single-bit masks never reach here: the sweep
-// routes them to the strided single-lane kernels.)
+// groups, not all of the window's. (Single-bit masks never reach here: the
+// sweep routes them to the strided single-lane kernels.)
 //
 //saim:hotpath
 func buildDeltas(fl, want uint64, d *[Lanes]float64, groups *[laneGroups]int32) int {
@@ -73,13 +74,14 @@ func buildDeltas(fl, want uint64, d *[Lanes]float64, groups *[laneGroups]int32) 
 }
 
 // flipApplyDenseGo propagates one spin's flip to every lane's fields over a
-// dense J row: fields[j·64+r] += row[j]·d[r] for each lane r of an active
-// group. Per lane this is exactly Machine.flip's unconditional row walk.
+// dense J row: fields[j·width+k] += row[j]·d[k] for each lane k of an
+// active group. Per lane this is exactly Machine.flip's unconditional row
+// walk.
 //
 //saim:hotpath
-func flipApplyDenseGo(row []float64, fields []float64, d *[Lanes]float64, groups []int32) {
+func flipApplyDenseGo(row []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
 	for j, w := range row {
-		fj := fields[j*Lanes : j*Lanes+Lanes]
+		fj := fields[j*width : j*width+width]
 		for _, g := range groups {
 			b := int(g) * 4
 			fj[b] += w * d[b]
@@ -94,10 +96,10 @@ func flipApplyDenseGo(row []float64, fields []float64, d *[Lanes]float64, groups
 // SparseMachine.flip's stored-coupling walk.
 //
 //saim:hotpath
-func flipApplyCSRGo(cols []int32, ws []float64, fields []float64, d *[Lanes]float64, groups []int32) {
+func flipApplyCSRGo(cols []int32, ws []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
 	for k, j := range cols {
 		w := ws[k]
-		fj := fields[int(j)*Lanes : int(j)*Lanes+Lanes]
+		fj := fields[int(j)*width : int(j)*width+width]
 		for _, g := range groups {
 			b := int(g) * 4
 			fj[b] += w * d[b]
@@ -109,28 +111,28 @@ func flipApplyCSRGo(cols []int32, ws []float64, fields []float64, d *[Lanes]floa
 }
 
 // flipApplySingleDenseGo propagates a flip of exactly one lane: a strided
-// walk adding row[j]·delta at lane offset j·64 — instruction-for-
-// instruction the scalar Machine.flip loop, just with stride-64 fields.
+// walk adding row[j]·delta at lane offset j·width — instruction for
+// instruction the scalar Machine.flip loop, just with strided fields.
 // Late-anneal flips are overwhelmingly single-lane, so this path keeps the
 // packed machine at per-flip parity with the scalar pool when flips are
 // rare.
 //
 //saim:hotpath
-func flipApplySingleDenseGo(row []float64, fieldsLane []float64, delta float64) {
+func flipApplySingleDenseGo(row []float64, fieldsLane []float64, width int, delta float64) {
 	if len(row) == 0 {
 		return
 	}
-	_ = fieldsLane[(len(row)-1)*Lanes]
+	_ = fieldsLane[(len(row)-1)*width]
 	for j, w := range row {
-		fieldsLane[j*Lanes] += w * delta
+		fieldsLane[j*width] += w * delta
 	}
 }
 
 // flipApplySingleCSRGo is flipApplySingleDenseGo over CSR spans.
 //
 //saim:hotpath
-func flipApplySingleCSRGo(cols []int32, ws []float64, fieldsLane []float64, delta float64) {
+func flipApplySingleCSRGo(cols []int32, ws []float64, fieldsLane []float64, width int, delta float64) {
 	for k, j := range cols {
-		fieldsLane[int(j)*Lanes] += ws[k] * delta
+		fieldsLane[int(j)*width] += ws[k] * delta
 	}
 }

@@ -10,21 +10,21 @@ func packedWant(beta float64, f, nz []float64) uint64 {
 }
 
 //saim:hotpath
-func flipApplyDense(row []float64, fields []float64, d *[Lanes]float64, groups []int32) {
-	flipApplyDenseGo(row, fields, d, groups)
+func flipApplyDense(row []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
+	flipApplyDenseGo(row, fields, width, d, groups)
 }
 
 //saim:hotpath
-func flipApplyCSR(cols []int32, ws []float64, fields []float64, d *[Lanes]float64, groups []int32) {
-	flipApplyCSRGo(cols, ws, fields, d, groups)
+func flipApplyCSR(cols []int32, ws []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
+	flipApplyCSRGo(cols, ws, fields, width, d, groups)
 }
 
 //saim:hotpath
-func flipApplySingleDense(row []float64, fieldsLane []float64, delta float64) {
-	flipApplySingleDenseGo(row, fieldsLane, delta)
+func flipApplySingleDense(row []float64, fieldsLane []float64, width int, delta float64) {
+	flipApplySingleDenseGo(row, fieldsLane, width, delta)
 }
 
 //saim:hotpath
-func flipApplySingleCSR(cols []int32, ws []float64, fieldsLane []float64, delta float64) {
-	flipApplySingleCSRGo(cols, ws, fieldsLane, delta)
+func flipApplySingleCSR(cols []int32, ws []float64, fieldsLane []float64, width int, delta float64) {
+	flipApplySingleCSRGo(cols, ws, fieldsLane, width, delta)
 }

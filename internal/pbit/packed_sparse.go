@@ -2,18 +2,18 @@ package pbit
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
-	"github.com/ising-machines/saim/internal/schedule"
 )
 
 // PackedSparseMachine is the CSR variant of PackedMachine: 64 replicas
 // swept in lockstep over the flat three-array coupling layout of
-// SparseMachine. Per lane it reproduces SparseMachine's trajectory
-// bit-for-bit given the same source — which, by the existing golden tests,
-// is also the dense machine's trajectory.
+// SparseMachine, in the same lane windows. Per lane it reproduces
+// SparseMachine's trajectory bit-for-bit given the same source — which, by
+// the existing golden tests, is also the dense machine's trajectory.
 type PackedSparseMachine struct {
 	packedCore
 	rowPtr []int32
@@ -21,20 +21,33 @@ type PackedSparseMachine struct {
 	weight []float64
 }
 
-// NewPackedSparse builds a packed CSR machine from the model's non-zero
-// couplings, per-lane sources split off src in lane order.
+// NewPackedSparse builds a one-window packed CSR machine from the model's
+// non-zero couplings, per-lane sources split off src in lane order.
 func NewPackedSparse(model *ising.Model, src *rng.Source) *PackedSparseMachine {
+	return NewPackedSparseWindows(model, src, 1)
+}
+
+// NewPackedSparseWindows is NewPackedSparse with the lanes split into
+// `windows` lane windows (clamped to [1, MaxWindows]) that AnnealRun
+// sweeps concurrently; Close the machine when done with it. The window
+// count changes no lane's trajectory.
+func NewPackedSparseWindows(model *ising.Model, src *rng.Source, windows int) *PackedSparseMachine {
 	if err := model.Validate(); err != nil {
 		panic(fmt.Sprintf("pbit: invalid model: %v", err))
 	}
 	rowPtr, colIdx, weight := buildCSR(model)
-	m := &PackedSparseMachine{
-		packedCore: newPackedCore(model.H, src),
-		rowPtr:     rowPtr,
-		colIdx:     colIdx,
-		weight:     weight,
+	m := &PackedSparseMachine{rowPtr: rowPtr, colIdx: colIdx, weight: weight}
+	m.build(model.H, src, windows, m.sweepWindow, m.recomputeWindow)
+	// Every lane starts at −1 with the model's h: build one lane in
+	// recomputeWindow's CSR order and copy it.
+	for i := 0; i < m.n; i++ {
+		f := model.H[i]
+		_, ws := m.row(i)
+		for _, w := range ws {
+			f += w * -1
+		}
+		m.setUniformField(i, f)
 	}
-	m.RecomputeFields()
 	return m
 }
 
@@ -44,102 +57,67 @@ func (m *PackedSparseMachine) row(i int) ([]int32, []float64) {
 	return m.colIdx[lo:hi], m.weight[lo:hi]
 }
 
-// RecomputeFields rebuilds every lane's local fields from scratch in the
-// CSR entry order SparseMachine.RecomputeFields uses per lane.
-func (m *PackedSparseMachine) RecomputeFields() {
-	m.spinFloats(m.noise) // noise is dead outside Sweep; reuse as scratch
+// recomputeWindow rebuilds one window's fields from scratch in the CSR
+// entry order SparseMachine.RecomputeFields uses per lane.
+func (m *PackedSparseMachine) recomputeWindow(win *window) {
+	w := win.w
+	win.spinFloats()
 	for i := 0; i < m.n; i++ {
-		acc := m.fields[i*Lanes : i*Lanes+Lanes]
-		copy(acc, m.hb[i*Lanes:i*Lanes+Lanes])
+		acc := win.fields[i*w : (i+1)*w]
+		copy(acc, win.hb[i*w:(i+1)*w])
 		cols, ws := m.row(i)
 		for k, j := range cols {
-			w := ws[k]
-			sf := m.noise[int(j)*Lanes : int(j)*Lanes+Lanes]
-			for r := 0; r < Lanes; r++ {
-				acc[r] += w * sf[r]
+			wt := ws[k]
+			sf := win.noise[int(j)*w : (int(j)+1)*w]
+			for l := range acc {
+				acc[l] += wt * sf[l]
 			}
 		}
 	}
 }
 
-// SetAllLanesState installs one configuration on every lane.
-func (m *PackedSparseMachine) SetAllLanesState(s ising.Spins) {
-	m.setAllLanesBits(s)
-	m.RecomputeFields()
-}
-
-// Randomize draws a fresh uniform configuration per lane.
-func (m *PackedSparseMachine) Randomize() {
-	m.randomizeBits()
-	m.RecomputeFields()
-}
-
-// Sweep runs one Monte-Carlo sweep of all 64 lanes over the CSR rows.
+// sweepWindow runs one Monte-Carlo sweep of one window over the CSR rows.
 //
 //saim:hotpath
-func (m *PackedSparseMachine) Sweep(beta float64) {
-	n := m.n
-	if n == 0 {
-		m.sweeps++
-		return
-	}
-	m.fillNoise()
-	for i := 0; i < n; i++ {
-		base := i * Lanes
-		want := packedWant(beta, m.fields[base:base+Lanes], m.noise[base:base+Lanes])
-		fl := want ^ m.states[i]
+func (m *PackedSparseMachine) sweepWindow(win *window, beta float64) {
+	w := win.w
+	win.fillNoise()
+	fields, noise := win.fields, win.noise
+	for i, s := range win.states {
+		base := i * w
+		want := packedWant(beta, fields[base:base+w], noise[base:base+w])
+		fl := want ^ s
 		if fl == 0 {
 			continue
 		}
-		m.states[i] = want
+		win.states[i] = want
 		cols, ws := m.row(i)
 		if fl&(fl-1) == 0 {
-			r := bits.TrailingZeros64(fl)
+			k := bits.TrailingZeros64(fl)
 			delta := -2.0
-			if want>>uint(r)&1 != 0 {
+			if want>>uint(k)&1 != 0 {
 				delta = 2.0
 			}
-			flipApplySingleCSR(cols, ws, m.fields[r:], delta)
+			flipApplySingleCSR(cols, ws, fields[k:], w, delta)
 		} else {
-			ng := buildDeltas(fl, want, &m.d, &m.groups)
-			flipApplyCSR(cols, ws, m.fields, &m.d, m.groups[:ng])
+			ng := buildDeltas(fl, want, &win.d, &win.groups)
+			flipApplyCSR(cols, ws, fields, w, &win.d, win.groups[:ng])
 		}
-	}
-	m.sweeps++
-}
-
-// AnnealRun runs one annealing run on every lane from a fresh random start.
-func (m *PackedSparseMachine) AnnealRun(sched schedule.Schedule, sweeps int) {
-	m.Randomize()
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-}
-
-// AnnealFromRun continues annealing from the current lane states.
-func (m *PackedSparseMachine) AnnealFromRun(sched schedule.Schedule, sweeps int) {
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
 	}
 }
 
 // LaneFieldConsistencyError returns the worst drift between lane r's
 // incremental fields and a from-scratch recomputation (test hook).
 func (m *PackedSparseMachine) LaneFieldConsistencyError(r int) float64 {
+	win, k := m.lane(r)
 	worst := 0.0
 	for i := 0; i < m.n; i++ {
-		acc := m.hb[i*Lanes+r]
+		acc := win.hb[i*win.w+k]
 		cols, ws := m.row(i)
-		for k, j := range cols {
-			acc += ws[k] * float64(int64(m.states[j]>>r&1)*2-1)
+		for e, j := range cols {
+			acc += ws[e] * float64(int64(win.states[j]>>k&1)*2-1)
 		}
-		d := m.fields[i*Lanes+r] - acc
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
+		worst = max(worst, math.Abs(win.fields[i*win.w+k]-acc))
 	}
 	return worst
 }

@@ -1,7 +1,11 @@
 package pbit
 
 import (
+	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/ising-machines/saim/internal/cpufeat"
 	"github.com/ising-machines/saim/internal/ising"
@@ -54,6 +58,28 @@ type packedAny interface {
 	PackedKernel
 	RecomputeFields()
 	LaneFieldConsistencyError(r int) float64
+	laneField(i, r int) float64
+}
+
+// windowCounts are the lane-window splits every packed differential runs
+// at: one window (the single-group layout), the even split, an uneven
+// split (24, 24, 16 lanes), mixed widths (16, 16, 16, 8, 8), one octet
+// each.
+var windowCounts = []int{1, 2, 3, 5, 8}
+
+// laneField returns lane r's local field of spin i (test hook).
+func (c *packedCore) laneField(i, r int) float64 {
+	win, k := c.lane(r)
+	return win.fields[i*win.w+k]
+}
+
+// laneWord returns spin i's states as one 64-lane word (test hook).
+func (c *packedCore) laneWord(i int) uint64 {
+	var word uint64
+	for j := range c.wins {
+		word |= c.wins[j].states[i] << c.wins[j].lo
+	}
+	return word
 }
 
 // runDifferential sweeps packed and scalar fleets in lockstep and requires
@@ -66,7 +92,7 @@ func runDifferential(t *testing.T, pm packedAny, fleet []interface {
 	Sweep(float64)
 	SetState(ising.Spins)
 	UpdateBiases(vecmat.Vec)
-}, fields func(i, r int) float64, scalarField func(m interface{}, i int) float64) {
+}, scalarField func(m interface{}, i int) float64) {
 	t.Helper()
 	n := pm.N()
 	pm.Randomize()
@@ -89,7 +115,7 @@ func runDifferential(t *testing.T, pm packedAny, fleet []interface {
 	}
 	for r, m := range fleet {
 		for i := 0; i < n; i++ {
-			if pf, sf := fields(i, r), scalarField(m, i); pf != sf {
+			if pf, sf := pm.laneField(i, r), scalarField(m, i); pf != sf {
 				t.Fatalf("lane %d spin %d: packed field %v scalar field %v", r, i, pf, sf)
 			}
 		}
@@ -99,23 +125,15 @@ func runDifferential(t *testing.T, pm packedAny, fleet []interface {
 	}
 }
 
-func TestPackedDenseMatchesScalarFleet(t *testing.T) {
-	src := rng.New(21)
-	model := randomModel(src, 33)
-	pm := NewPacked(model, rng.New(777))
-	fleet := scalarFleet(model, 777, false)
-	runDifferential(t, pm, fleet,
-		func(i, r int) float64 { return pm.fields[i*Lanes+r] },
-		func(m interface{}, i int) float64 { return m.(*Machine).field[i] })
-}
-
-func TestPackedSparseMatchesScalarFleet(t *testing.T) {
-	src := rng.New(22)
+// sparseQUBOModel is a 40-spin sparse model whose spin 0 stays isolated,
+// exercising the empty CSR row.
+func sparseQUBOModel(seed uint64) *ising.Model {
+	src := rng.New(seed)
 	q := ising.NewQUBO(40)
 	for i := 0; i < 40; i++ {
 		q.AddLinear(i, src.Sym())
 		if i == 0 {
-			continue // spin 0 stays isolated: exercises the empty CSR row
+			continue
 		}
 		for j := i + 1; j < 40; j++ {
 			if src.Bool(0.15) {
@@ -123,82 +141,219 @@ func TestPackedSparseMatchesScalarFleet(t *testing.T) {
 			}
 		}
 	}
-	model := q.ToIsing()
-	pm := NewPackedSparse(model, rng.New(333))
-	fleet := scalarFleet(model, 333, true)
-	runDifferential(t, pm, fleet,
-		func(i, r int) float64 { return pm.fields[i*Lanes+r] },
-		func(m interface{}, i int) float64 { return m.(*SparseMachine).field[i] })
+	return q.ToIsing()
+}
+
+func TestPackedDenseMatchesScalarFleet(t *testing.T) {
+	model := randomModel(rng.New(21), 33)
+	for _, k := range windowCounts {
+		pm := NewPackedWindows(model, rng.New(777), k)
+		runDifferential(t, pm, scalarFleet(model, 777, false),
+			func(m interface{}, i int) float64 { return m.(*Machine).field[i] })
+	}
+}
+
+func TestPackedSparseMatchesScalarFleet(t *testing.T) {
+	model := sparseQUBOModel(22)
+	for _, k := range windowCounts {
+		pm := NewPackedSparseWindows(model, rng.New(333), k)
+		runDifferential(t, pm, scalarFleet(model, 333, true),
+			func(m interface{}, i int) float64 { return m.(*SparseMachine).field[i] })
+	}
+}
+
+// A concurrent AnnealRun (windows 1…k−1 on goroutines) must leave every
+// lane where its scalar twin's AnnealInto ends, and a following warm
+// AnnealFromRun where AnnealFromInto ends — for both kernels at every
+// window count. Under -race this is also the data-race check of the run.
+func TestPackedWindowedAnnealRunMatchesScalar(t *testing.T) {
+	sched := schedule.Linear{Start: 0.1, End: 3}
+	for _, c := range []struct {
+		name   string
+		model  *ising.Model
+		sparse bool
+	}{
+		{"dense", randomModel(rng.New(24), 27), false},
+		{"sparse", sparseQUBOModel(25), true},
+	} {
+		for _, k := range windowCounts {
+			var pm packedAny
+			if c.sparse {
+				pm = NewPackedSparseWindows(c.model, rng.New(888), k)
+			} else {
+				pm = NewPackedWindows(c.model, rng.New(888), k)
+			}
+			fleet := scalarFleet(c.model, 888, c.sparse)
+			n := c.model.N()
+			pm.AnnealRun(sched, 30)
+			pm.AnnealFromRun(sched, 10)
+			pm.Close()
+			got, want := ising.NewSpins(n), ising.NewSpins(n)
+			for r, m := range fleet {
+				m.(interface {
+					AnnealInto(ising.Spins, schedule.Schedule, int)
+				}).AnnealInto(want, sched, 30)
+				m.(interface {
+					AnnealFromInto(ising.Spins, schedule.Schedule, int)
+				}).AnnealFromInto(want, sched, 10)
+				pm.LaneStateInto(got, r)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s, %d windows: lane %d spin %d: packed %d scalar %d", c.name, k, r, i, got[i], want[i])
+					}
+				}
+			}
+			if pm.Sweeps() != 40 {
+				t.Fatalf("%s, %d windows: packed sweep count %d, want 40", c.name, k, pm.Sweeps())
+			}
+		}
+	}
+}
+
+// windowGoroutines counts the live window goroutines of every packed
+// machine, once the count settles at want or five seconds pass: a closed
+// machine's goroutines exit shortly after Close returns.
+func windowGoroutines(want int) int {
+	buf := make([]byte, 1<<20)
+	count := func() int {
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*packedCore).startWindows.func1(")
+	}
+	n := count()
+	for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = count() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// The first concurrent run starts one goroutine per window beyond the
+// first; Close stops them, and the machine stays usable (its next run
+// starts them again and still matches a machine that never closed).
+func TestPackedCloseStopsWindowGoroutines(t *testing.T) {
+	model := randomModel(rng.New(29), 12)
+	sched := schedule.Linear{Start: 0.1, End: 3}
+	if n := windowGoroutines(0); n != 0 {
+		t.Fatalf("%d window goroutines outlived earlier tests", n)
+	}
+	pm := NewPackedWindows(model, rng.New(3), 5)
+	if n := windowGoroutines(0); n != 0 {
+		t.Fatalf("construction started %d window goroutines", n)
+	}
+	pm.AnnealRun(sched, 10)
+	if n := windowGoroutines(4); n != 4 {
+		t.Fatalf("5-window run left %d window goroutines, want 4", n)
+	}
+	pm.Close()
+	if n := windowGoroutines(0); n != 0 {
+		t.Fatalf("Close left %d window goroutines running", n)
+	}
+	pm.AnnealRun(sched, 10)
+	pm.Close()
+	ref := NewPackedWindows(model, rng.New(3), 5)
+	ref.AnnealRun(sched, 10)
+	ref.AnnealRun(sched, 10)
+	ref.Close()
+	for i := 0; i < model.N(); i++ {
+		if pm.laneWord(i) != ref.laneWord(i) {
+			t.Fatalf("spin %d: closed-and-restarted machine %#x, uninterrupted %#x", i, pm.laneWord(i), ref.laneWord(i))
+		}
+	}
+	if n := windowGoroutines(0); n != 0 {
+		t.Fatalf("%d window goroutines outlived Close", n)
+	}
+}
+
+// The constructor builds one lane's fields and copies them to every lane;
+// that must equal a from-scratch RecomputeFields bit for bit, for both
+// kernels at every window count.
+func TestPackedConstructorFieldsMatchRecompute(t *testing.T) {
+	dense, sparse := randomModel(rng.New(26), 31), sparseQUBOModel(27)
+	for _, k := range windowCounts {
+		for name, pm := range map[string]packedAny{
+			"dense":  NewPackedWindows(dense, rng.New(1), k),
+			"sparse": NewPackedSparseWindows(sparse, rng.New(1), k),
+		} {
+			n := pm.N()
+			built := make([]uint64, n*Lanes)
+			for i := 0; i < n; i++ {
+				for r := 0; r < Lanes; r++ {
+					built[i*Lanes+r] = math.Float64bits(pm.laneField(i, r))
+				}
+			}
+			pm.RecomputeFields()
+			for i := 0; i < n; i++ {
+				for r := 0; r < Lanes; r++ {
+					if got := math.Float64bits(pm.laneField(i, r)); got != built[i*Lanes+r] {
+						t.Fatalf("%s, %d windows: field (%d,%d) built %x, recomputed %x", name, k, i, r, built[i*Lanes+r], got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Windows split the 64 lanes into octet-aligned runs as even as octets
+// allow, in lane order, and the window count is clamped to [1, 8].
+func TestPackedWindowLayout(t *testing.T) {
+	model := randomModel(rng.New(28), 5)
+	for k := -1; k <= MaxWindows+2; k++ {
+		pm := NewPackedWindows(model, rng.New(1), k)
+		want := min(max(k, 1), MaxWindows)
+		if len(pm.wins) != want {
+			t.Fatalf("windows(%d) = %d, want %d", k, len(pm.wins), want)
+		}
+		lo, widest, narrowest := 0, 0, Lanes
+		for _, win := range pm.wins {
+			if win.lo != lo || win.w%octet != 0 || len(win.fields) != model.N()*win.w {
+				t.Fatalf("windows(%d): window at %d has lo %d width %d", k, lo, win.lo, win.w)
+			}
+			lo += win.w
+			widest, narrowest = max(widest, win.w), min(narrowest, win.w)
+		}
+		if lo != Lanes || widest-narrowest > octet {
+			t.Fatalf("windows(%d): lanes %d, widths %d…%d", k, lo, narrowest, widest)
+		}
+	}
 }
 
 // The AVX2 kernels and the portable Go kernels must produce bit-identical
 // trajectories: run the same seeded anneal under both dispatch paths and
-// compare every lane's final state and every field word.
+// compare every lane's final state and every field word, at every window
+// count.
 func TestPackedNativeMatchesPortable(t *testing.T) {
 	saved := cpufeat.HasAVX2
 	defer func() { cpufeat.HasAVX2 = saved }()
 
-	src := rng.New(23)
-	model := randomModel(src, 29)
+	model := randomModel(rng.New(23), 29)
 	sched := schedule.Linear{Start: 0.1, End: 3.5}
 
-	run := func(native bool) (*PackedMachine, *PackedSparseMachine) {
-		cpufeat.HasAVX2 = native && saved
-		d := NewPacked(model, rng.New(99))
-		d.AnnealRun(sched, 50)
-		s := NewPackedSparse(model, rng.New(99))
-		s.AnnealRun(sched, 50)
-		return d, s
-	}
-	dn, sn := run(true)
-	dp, sp := run(false)
-
-	for i := 0; i < model.N(); i++ {
-		if dn.states[i] != dp.states[i] {
-			t.Fatalf("dense spin %d: native state %#x portable %#x", i, dn.states[i], dp.states[i])
-		}
-		if sn.states[i] != sp.states[i] {
-			t.Fatalf("sparse spin %d: native state %#x portable %#x", i, sn.states[i], sp.states[i])
-		}
-		for r := 0; r < Lanes; r++ {
-			if dn.fields[i*Lanes+r] != dp.fields[i*Lanes+r] {
-				t.Fatalf("dense field (%d,%d): native %v portable %v", i, r, dn.fields[i*Lanes+r], dp.fields[i*Lanes+r])
-			}
-			if sn.fields[i*Lanes+r] != sp.fields[i*Lanes+r] {
-				t.Fatalf("sparse field (%d,%d): native %v portable %v", i, r, sn.fields[i*Lanes+r], sp.fields[i*Lanes+r])
-			}
-		}
-	}
-}
-
-// packedWant against 64 independent wantSpin calls, across betas that
-// reach both saturation rails and dispatch paths.
-func TestPackedWantMatchesWantSpin(t *testing.T) {
-	saved := cpufeat.HasAVX2
-	defer func() { cpufeat.HasAVX2 = saved }()
-
-	src := rng.New(5)
-	f := make([]float64, Lanes)
-	nz := make([]float64, Lanes)
-	for trial := 0; trial < 200; trial++ {
-		beta := float64(trial) * 0.05
-		for r := range f {
-			f[r] = src.Sym() * 8
-			if trial%7 == 0 {
-				f[r] *= 100 // force deep saturation
-			}
-			nz[r] = src.Sym()
-		}
-		var want uint64
-		for r := 0; r < Lanes; r++ {
-			if wantSpin(beta*f[r], nz[r]) == 1 {
-				want |= 1 << r
-			}
-		}
-		for _, native := range []bool{true, false} {
+	for _, k := range windowCounts {
+		run := func(native bool) (*PackedMachine, *PackedSparseMachine) {
 			cpufeat.HasAVX2 = native && saved
-			if got := packedWant(beta, f, nz); got != want {
-				t.Fatalf("trial %d native=%v: packedWant %#x want %#x", trial, native, got, want)
+			d := NewPackedWindows(model, rng.New(99), k)
+			d.AnnealRun(sched, 50)
+			d.Close()
+			s := NewPackedSparseWindows(model, rng.New(99), k)
+			s.AnnealRun(sched, 50)
+			s.Close()
+			return d, s
+		}
+		dn, sn := run(true)
+		dp, sp := run(false)
+
+		for i := 0; i < model.N(); i++ {
+			if dn.laneWord(i) != dp.laneWord(i) {
+				t.Fatalf("%d windows: dense spin %d: native state %#x portable %#x", k, i, dn.laneWord(i), dp.laneWord(i))
+			}
+			if sn.laneWord(i) != sp.laneWord(i) {
+				t.Fatalf("%d windows: sparse spin %d: native state %#x portable %#x", k, i, sn.laneWord(i), sp.laneWord(i))
+			}
+			for r := 0; r < Lanes; r++ {
+				if a, b := dn.laneField(i, r), dp.laneField(i, r); a != b {
+					t.Fatalf("%d windows: dense field (%d,%d): native %v portable %v", k, i, r, a, b)
+				}
+				if a, b := sn.laneField(i, r), sp.laneField(i, r); a != b {
+					t.Fatalf("%d windows: sparse field (%d,%d): native %v portable %v", k, i, r, a, b)
+				}
 			}
 		}
 	}
@@ -208,40 +363,41 @@ func TestPackedWantMatchesWantSpin(t *testing.T) {
 // arithmetic: diverge the lanes' biases, sweep, and compare each lane to a
 // scalar machine given the same bias sequence.
 func TestUpdateLaneBiasesMatchesScalar(t *testing.T) {
-	src := rng.New(31)
-	model := randomModel(src, 20)
-	pm := NewPacked(model, rng.New(444))
-	fleet := scalarFleet(model, 444, false)
+	model := randomModel(rng.New(31), 20)
+	for _, k := range windowCounts {
+		pm := NewPackedWindows(model, rng.New(444), k)
+		fleet := scalarFleet(model, 444, false)
 
-	pm.Randomize()
-	for _, m := range fleet {
-		m.Randomize()
-	}
-	h := vecmat.NewVec(20)
-	got := ising.NewSpins(20)
-	for step := 0; step < 10; step++ {
-		for r, m := range fleet {
-			for i := range h {
-				h[i] = float64(r)*0.01 - float64(step)*0.1
-			}
-			pm.UpdateLaneBiases(r, h)
-			m.UpdateBiases(h)
+		pm.Randomize()
+		for _, m := range fleet {
+			m.Randomize()
 		}
-		pm.Sweep(1.2)
-		for r, m := range fleet {
-			m.Sweep(1.2)
-			pm.LaneStateInto(got, r)
-			want := m.State()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("step %d lane %d spin %d mismatch", step, r, i)
+		h := vecmat.NewVec(20)
+		got := ising.NewSpins(20)
+		for step := 0; step < 10; step++ {
+			for r, m := range fleet {
+				for i := range h {
+					h[i] = float64(r)*0.01 - float64(step)*0.1
+				}
+				pm.UpdateLaneBiases(r, h)
+				m.UpdateBiases(h)
+			}
+			pm.Sweep(1.2)
+			for r, m := range fleet {
+				m.Sweep(1.2)
+				pm.LaneStateInto(got, r)
+				want := m.State()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%d windows: step %d lane %d spin %d mismatch", k, step, r, i)
+					}
 				}
 			}
 		}
-	}
-	for r := 0; r < Lanes; r++ {
-		if drift := pm.LaneFieldConsistencyError(r); drift > 1e-9 {
-			t.Fatalf("lane %d drift %v after bias reprogramming", r, drift)
+		for r := 0; r < Lanes; r++ {
+			if drift := pm.LaneFieldConsistencyError(r); drift > 1e-9 {
+				t.Fatalf("%d windows: lane %d drift %v after bias reprogramming", k, r, drift)
+			}
 		}
 	}
 }
@@ -249,11 +405,7 @@ func TestUpdateLaneBiasesMatchesScalar(t *testing.T) {
 // Warm start: installing one configuration on all lanes and continuing
 // must equal each scalar machine warm-started from the same state.
 func TestPackedWarmStartMatchesScalar(t *testing.T) {
-	src := rng.New(37)
-	model := randomModel(src, 18)
-	pm := NewPacked(model, rng.New(555))
-	fleet := scalarFleet(model, 555, false)
-
+	model := randomModel(rng.New(37), 18)
 	start := ising.NewSpins(18)
 	for i := range start {
 		if i%3 == 0 {
@@ -262,19 +414,24 @@ func TestPackedWarmStartMatchesScalar(t *testing.T) {
 			start[i] = -1
 		}
 	}
-	pm.SetAllLanesState(start)
-	for _, m := range fleet {
-		m.SetState(start)
-	}
 	sched := schedule.Linear{Start: 0.3, End: 2.5}
-	pm.AnnealFromRun(sched, 25)
-	got := ising.NewSpins(18)
-	for r, m := range fleet {
-		ws := m.(*Machine).AnnealFrom(sched, 25)
-		pm.LaneStateInto(got, r)
-		for i := range ws {
-			if got[i] != ws[i] {
-				t.Fatalf("lane %d spin %d: warm-start mismatch", r, i)
+	for _, k := range windowCounts {
+		pm := NewPackedWindows(model, rng.New(555), k)
+		fleet := scalarFleet(model, 555, false)
+		pm.SetAllLanesState(start)
+		for _, m := range fleet {
+			m.SetState(start)
+		}
+		pm.AnnealFromRun(sched, 25)
+		pm.Close()
+		got := ising.NewSpins(18)
+		for r, m := range fleet {
+			ws := m.(*Machine).AnnealFrom(sched, 25)
+			pm.LaneStateInto(got, r)
+			for i := range ws {
+				if got[i] != ws[i] {
+					t.Fatalf("%d windows: lane %d spin %d: warm-start mismatch", k, r, i)
+				}
 			}
 		}
 	}

@@ -123,17 +123,23 @@ func WithMachine(k MachineKind) Option { return func(c *config) { c.machine = k 
 // (WithReplicas ≥ 64 on quadratic models) routes full 64-replica groups
 // through the bit-packed multi-spin kernels, which sweep 64 replicas per
 // coupling-row walk instead of one. PackedAuto (the default) packs
-// whenever eligible; PackedOff forces scalar per-replica machines.
-// Packing never changes results — each packed lane reproduces the scalar
-// replica with the same seed bit-for-bit — only throughput. Backends
-// without a replica pool ignore it.
+// whenever eligible; PackedOff forces scalar per-replica machines. When
+// the pool has fewer groups and scalar replicas than GOMAXPROCS, each
+// group splits its 64 lanes into up to eight lane windows that anneal
+// concurrently, so a lone group uses every core. Packing and windows never
+// change results — each packed lane reproduces the scalar replica with the
+// same seed bit-for-bit — only throughput. Backends without a replica pool
+// ignore it.
 func WithPackedReplicas(m PackedMode) Option { return func(c *config) { c.packed = m } }
 
 // WithReplicas sets the number of parallel-tempering temperature rungs
 // (default 26, as in PT-DA), or — for the saim backend on constrained and
 // unconstrained models — the number of independent restarts merged into
 // one result (default 1; the saim backend rejects replicas > 1 for
-// high-order models rather than silently running one chain).
+// high-order models rather than silently running one chain). The saim
+// restarts run concurrently, up to GOMAXPROCS at a time; each full group
+// of 64 sweeps through the bit-packed kernels (see WithPackedReplicas).
+// Same-seed results do not depend on GOMAXPROCS.
 func WithReplicas(r int) Option { return func(c *config) { c.replicas = r } }
 
 // WithPopulation sets the GA population size (default 100).
