@@ -113,7 +113,8 @@ func SolveParallel(p *Problem, opts Options, replicas int) (*Result, error) {
 // picks up, so per-replica setup is O(N) instead of an O(N²) model +
 // machine rebuild. A packed 64-lane group is one task; when there are
 // fewer tasks than Ps, each group's lanes anneal in several concurrent
-// lane windows, so a lone group still uses every core. Progress callbacks
+// lane windows, so a lone group on an otherwise idle machine still uses
+// every core. Progress callbacks
 // from all replicas are merged thread-safely into fleet-wide totals, and
 // the winning replica's trajectory is copied into Options.Trace when one
 // is supplied.
@@ -175,10 +176,11 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 	workers := min(procs, len(tasks))
 	// Cores the tasks leave idle go to the packed groups: each splits its
 	// lanes into lane windows that sweep concurrently, at most one window
-	// per spare P and one octet per window. A lone group on 2 Ps gets 2
-	// windows; two groups on 2 Ps keep one each. Windows change no lane's
-	// trajectory, only wall time.
-	windows := min(pbit.MaxWindows, max(1, procs/len(tasks)))
+	// per spare P (pbit clamps the count to [1, 8], one octet per window).
+	// A lone group on 2 Ps gets 2 windows; two groups on 2 Ps keep one
+	// each. The count assumes this solve owns every P. Windows change no
+	// lane's trajectory, only wall time.
+	windows := procs / len(tasks)
 	jobs := make(chan replicaTask)
 	// failed stops the task feeder (and makes draining workers skip queued
 	// tasks) as soon as any replica errors: an error aborts the whole solve,

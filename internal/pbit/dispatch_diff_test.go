@@ -18,7 +18,8 @@ import (
 // comparison is vacuous, like the other differential tests.
 
 // kernelWidths are the window widths the dispatchers are pinned at:
-// one octet, the uneven 3-window split, both unrolled every-group widths.
+// one octet, the uneven 3-window split, and the widths with an unrolled
+// every-group path (32 for the dense kernel, 64 for both).
 var kernelWidths = []int{8, 16, 24, 32, 64}
 
 // diffInputs builds one deterministic set of kernel operands: an
@@ -47,7 +48,8 @@ func diffInputs(n, width int, seed uint64) (row []float64, cols []int32, ws []fl
 
 // groupSets returns the active-group sets pinned at one width: one group
 // (the hoisted path), a sparse set, and every group of the window (the
-// unrolled path at widths 32 and 64, the generic loop elsewhere).
+// unrolled path at width 64, and at 32 for the dense kernel; the generic
+// loop elsewhere).
 func groupSets(width int) [][]int32 {
 	g := int32(width / 4)
 	all := make([]int32, g)

@@ -58,9 +58,9 @@ const laneGroups = Lanes / 4
 // eight adjacent lanes per call, and eight float64 are one cache line.
 const octet = 8
 
-// MaxWindows is the most lane windows a packed machine splits into: one
+// maxWindows is the most lane windows a packed machine splits into: one
 // octet each.
-const MaxWindows = Lanes / octet
+const maxWindows = Lanes / octet
 
 // PackedKernel is the contract shared by the dense and CSR packed
 // machines; internal/core's packed replica engine drives it.
@@ -184,12 +184,12 @@ type packedCore struct {
 }
 
 // build splits the lanes into `windows` octet-aligned windows (clamped to
-// [1, MaxWindows]) as even as octets allow — 3 windows hold 24, 24 and 16
+// [1, maxWindows]) as even as octets allow — 3 windows hold 24, 24 and 16
 // lanes — with per-lane sources split off src in lane order and every
 // lane's bias set to h. Fields are the caller's to build.
 func (c *packedCore) build(h vecmat.Vec, src *rng.Source, windows int, sweepWin func(*window, float64), recomputeWin func(*window)) {
 	n := len(h)
-	nwin := min(max(windows, 1), MaxWindows)
+	nwin := min(max(windows, 1), maxWindows)
 	c.n = n
 	c.sweepWin, c.recomputeWin = sweepWin, recomputeWin
 	for r := range c.srcs {
@@ -206,8 +206,8 @@ func (c *packedCore) build(h vecmat.Vec, src *rng.Source, windows int, sweepWin 
 	c.wins = make([]window, nwin)
 	lo := 0
 	for j := range c.wins {
-		w := octet * (MaxWindows / nwin)
-		if j < MaxWindows%nwin {
+		w := octet * (maxWindows / nwin)
+		if j < maxWindows%nwin {
 			w += octet
 		}
 		win := &c.wins[j]
@@ -408,7 +408,7 @@ func NewPacked(model *ising.Model, src *rng.Source) *PackedMachine {
 }
 
 // NewPackedWindows is NewPacked with the lanes split into `windows` lane
-// windows (clamped to [1, MaxWindows]) that AnnealRun sweeps concurrently;
+// windows (clamped to [1, 8]) that AnnealRun sweeps concurrently;
 // Close the machine when done with it. The window count changes no lane's
 // trajectory.
 func NewPackedWindows(model *ising.Model, src *rng.Source, windows int) *PackedMachine {

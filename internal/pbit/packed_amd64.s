@@ -291,7 +291,8 @@ done:
 // func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, width int, d *[64]float64, groups *int32, ng int)
 //
 // CSR variant: fields[cols[k]·width+…] += ws[k]·d[…] per active group,
-// with the same one-group and every-group specializations.
+// with the same one-group specialization; every group active unrolls at
+// 16 groups (width 64) only, narrower windows take the group loop.
 TEXT ·flipApplyCSRAVX2(SB), NOSPLIT, $0-64
 	MOVQ  cols+0(FP), SI
 	MOVQ  ws+8(FP), DX
@@ -313,8 +314,6 @@ TEXT ·flipApplyCSRAVX2(SB), NOSPLIT, $0-64
 	JNE   anygroups
 	CMPQ  R13, $16
 	JE    full16
-	CMPQ  R13, $8
-	JE    full8
 
 anygroups:
 	TESTQ R11, R11
@@ -391,24 +390,6 @@ full16:
 	INCQ R12
 	CMPQ R12, R8
 	JNE  full16
-	JMP  done
-
-full8:
-	MOVLQSX      (SI)(R12*4), R13
-	IMULQ        CX, R13
-	LEAQ         (DI)(R13*1), R14
-	VBROADCASTSD (DX)(R12*8), Y0
-	FLIPGROUPR14(0)
-	FLIPGROUPR14(32)
-	FLIPGROUPR14(64)
-	FLIPGROUPR14(96)
-	FLIPGROUPR14(128)
-	FLIPGROUPR14(160)
-	FLIPGROUPR14(192)
-	FLIPGROUPR14(224)
-	INCQ R12
-	CMPQ R12, R8
-	JNE  full8
 
 done:
 	VZEROUPPER

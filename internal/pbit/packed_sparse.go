@@ -28,7 +28,7 @@ func NewPackedSparse(model *ising.Model, src *rng.Source) *PackedSparseMachine {
 }
 
 // NewPackedSparseWindows is NewPackedSparse with the lanes split into
-// `windows` lane windows (clamped to [1, MaxWindows]) that AnnealRun
+// `windows` lane windows (clamped to [1, 8]) that AnnealRun
 // sweeps concurrently; Close the machine when done with it. The window
 // count changes no lane's trajectory.
 func NewPackedSparseWindows(model *ising.Model, src *rng.Source, windows int) *PackedSparseMachine {

@@ -295,9 +295,9 @@ func TestPackedConstructorFieldsMatchRecompute(t *testing.T) {
 // allow, in lane order, and the window count is clamped to [1, 8].
 func TestPackedWindowLayout(t *testing.T) {
 	model := randomModel(rng.New(28), 5)
-	for k := -1; k <= MaxWindows+2; k++ {
+	for k := -1; k <= maxWindows+2; k++ {
 		pm := NewPackedWindows(model, rng.New(1), k)
-		want := min(max(k, 1), MaxWindows)
+		want := min(max(k, 1), maxWindows)
 		if len(pm.wins) != want {
 			t.Fatalf("windows(%d) = %d, want %d", k, len(pm.wins), want)
 		}

@@ -126,10 +126,10 @@ func WithMachine(k MachineKind) Option { return func(c *config) { c.machine = k 
 // whenever eligible; PackedOff forces scalar per-replica machines. When
 // the pool has fewer groups and scalar replicas than GOMAXPROCS, each
 // group splits its 64 lanes into up to eight lane windows that anneal
-// concurrently, so a lone group uses every core. Packing and windows never
-// change results — each packed lane reproduces the scalar replica with the
-// same seed bit-for-bit — only throughput. Backends without a replica pool
-// ignore it.
+// concurrently, so a lone group on an otherwise idle machine uses every
+// core. Packing and windows never change results — each packed lane
+// reproduces the scalar replica with the same seed bit-for-bit — only
+// throughput. Backends without a replica pool ignore it.
 func WithPackedReplicas(m PackedMode) Option { return func(c *config) { c.packed = m } }
 
 // WithReplicas sets the number of parallel-tempering temperature rungs
