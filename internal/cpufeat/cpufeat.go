@@ -3,9 +3,9 @@
 // exported flags directly.
 //
 // The flags are plain variables (not constants) on purpose: differential
-// tests flip them to force the portable Go kernels on hardware where the
-// assembly path would otherwise be taken, proving both implementations
-// produce identical trajectories. Production code must treat them as
+// tests flip them to force each kernel tier — AVX-512, AVX2, portable Go —
+// on hardware where a wider one would otherwise be taken, proving every
+// tier produces identical trajectories. Production code must treat them as
 // read-only after init.
 package cpufeat
 
@@ -13,3 +13,9 @@ package cpufeat
 // integer and FP vector instructions (including OS-enabled YMM state). On
 // non-amd64 builds it is always false.
 var HasAVX2 = detectAVX2()
+
+// HasAVX512 reports whether the CPU supports AVX512F and AVX512DQ and the
+// operating system saves the opmask and full ZMM state, on top of
+// everything HasAVX2 requires. Dispatchers try it before HasAVX2. On
+// non-amd64 builds it is always false.
+var HasAVX512 = detectAVX512()

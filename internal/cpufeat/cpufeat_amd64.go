@@ -28,3 +28,19 @@ func detectAVX2() bool {
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
 }
+
+// detectAVX512 checks everything detectAVX2 does, then XCR0 bits 5–7
+// (opmask, upper halves of ZMM0–15, ZMM16–31) and the AVX512F and
+// AVX512DQ bits on leaf 7.
+func detectAVX512() bool {
+	if !detectAVX2() {
+		return false
+	}
+	xlo, _ := xgetbv()
+	if xlo&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f, avx512dq = 1 << 16, 1 << 17
+	return ebx7&avx512f != 0 && ebx7&avx512dq != 0
+}

@@ -9,59 +9,53 @@ import (
 )
 
 // Per-dispatcher differential pins: each packed kernel entry point must
-// produce bit-identical results under the AVX2 and portable paths, at
-// every window width a machine can hold. The sweep-level tests exercise
-// these through whole anneals; these hit each dispatcher in isolation with
-// irregular shapes (odd lengths, sparse group sets, every group of the
-// window) so a broken edge case cannot hide behind a forgiving trajectory.
-// On hardware without AVX2 both runs take the portable path and the
-// comparison is vacuous, like the other differential tests.
+// produce bit-identical results under every vector tier (AVX-512, AVX2)
+// and the portable path, at every window width a machine can hold. The
+// sweep-level tests exercise these through whole anneals; these hit each
+// dispatcher in isolation with irregular shapes (odd lengths, sparse group
+// sets and flip lists, every group or spin of the window) so a broken edge
+// case cannot hide behind a forgiving trajectory. A tier this CPU lacks is
+// skipped, and -v shows it.
 
-// kernelWidths are the window widths the dispatchers are pinned at:
-// one octet, the uneven 3-window split, and the widths with an unrolled
-// every-group path (32 for the dense kernel, 64 for both).
+// The detected tiers, captured before any test forces the flags.
+var hasAVX512, hasAVX2 = cpufeat.HasAVX512, cpufeat.HasAVX2
+
+// withTier runs f with the dispatchers forced onto one kernel tier —
+// "avx512", "avx2" or "portable" — then restores the detected flags.
+func withTier(tier string, f func()) {
+	cpufeat.HasAVX512 = tier == "avx512"
+	cpufeat.HasAVX2 = tier == "avx512" || tier == "avx2"
+	defer func() { cpufeat.HasAVX512, cpufeat.HasAVX2 = hasAVX512, hasAVX2 }()
+	f()
+}
+
+// vectorTiers runs f as one subtest per vector tier; a tier this CPU lacks
+// is skipped, so -v shows which legs ran.
+func vectorTiers(t *testing.T, f func(t *testing.T, tier string)) {
+	for _, tier := range []struct {
+		name string
+		ok   bool
+	}{{"avx512", hasAVX512}, {"avx2", hasAVX2}} {
+		t.Run(tier.name, func(t *testing.T) {
+			if !tier.ok {
+				t.Skipf("this CPU lacks the %s tier", tier.name)
+			}
+			f(t, tier.name)
+		})
+	}
+}
+
+// kernelWidths are the window widths the dispatchers are pinned at: every
+// width a window can have (one octet, the uneven 3-window split's 24 and
+// 16, the 2-window 32 and the single window's 64).
 var kernelWidths = []int{8, 16, 24, 32, 64}
 
-// diffInputs builds one deterministic set of kernel operands: an
-// n-element coupling row, matching CSR spans, a field block of the given
-// width, and per-lane deltas.
-func diffInputs(n, width int, seed uint64) (row []float64, cols []int32, ws []float64, fields []float64, d [Lanes]float64) {
-	src := rng.New(seed)
-	row = make([]float64, n)
-	for j := range row {
-		row[j] = src.Sym()
+// randomFloats returns n draws in [-scale, scale).
+func randomFloats(src *rng.Source, n int, scale float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = scale * src.Sym()
 	}
-	// Every third row entry becomes a stored CSR coupling.
-	for j := 0; j < n; j += 3 {
-		cols = append(cols, int32(j))
-		ws = append(ws, row[j])
-	}
-	fields = make([]float64, n*width)
-	for i := range fields {
-		fields[i] = src.Sym()
-	}
-	for r := range d {
-		d[r] = 2 * src.Sym()
-	}
-	return
-}
-
-// groupSets returns the active-group sets pinned at one width: one group
-// (the hoisted path), a sparse set, and every group of the window (the
-// unrolled path at width 64, and at 32 for the dense kernel; the generic
-// loop elsewhere).
-func groupSets(width int) [][]int32 {
-	g := int32(width / 4)
-	all := make([]int32, g)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return [][]int32{{g - 1}, {0, g / 2, g - 1}, all}
-}
-
-func cloneFields(fields []float64) []float64 {
-	out := make([]float64, len(fields))
-	copy(out, fields)
 	return out
 }
 
@@ -75,71 +69,140 @@ func requireFieldsIdentical(t *testing.T, name string, native, portable []float6
 	}
 }
 
-func TestFlipApplyDispatchersNativeMatchesPortable(t *testing.T) {
-	saved := cpufeat.HasAVX2
-	defer func() { cpufeat.HasAVX2 = saved }()
+// runPair applies one kernel call to two copies of fields, under tier and
+// under the portable path, and requires bit-identical results.
+func runPair(t *testing.T, tier, name string, fields []float64, apply func(fields []float64)) {
+	t.Helper()
+	native := append([]float64(nil), fields...)
+	withTier(tier, func() { apply(native) })
+	portable := append([]float64(nil), fields...)
+	withTier("portable", func() { apply(portable) })
+	requireFieldsIdentical(t, name, native, portable)
+}
 
-	for _, width := range kernelWidths {
-		for _, n := range []int{1, 4, 29, 64} {
-			row, cols, ws, fields, d := diffInputs(n, width, uint64(n*width)*17+5)
-
-			runPair := func(name string, apply func(fields []float64)) {
-				t.Helper()
-				cpufeat.HasAVX2 = saved
-				native := cloneFields(fields)
-				apply(native)
-				cpufeat.HasAVX2 = false
-				portable := cloneFields(fields)
-				apply(portable)
-				requireFieldsIdentical(t, name, native, portable)
-			}
-
-			for _, groups := range groupSets(width) {
-				runPair("flipApplyDense", func(f []float64) { flipApplyDense(row, f, width, &d, groups) })
-				runPair("flipApplyCSR", func(f []float64) { flipApplyCSR(cols, ws, f, width, &d, groups) })
-			}
-			// The single-lane walks take one lane's strided view; the last
-			// lane of the window exercises an offset other than 0.
-			last := width - 1
-			runPair("flipApplySingleDense", func(f []float64) { flipApplySingleDense(row, f[last:], width, 1.75) })
-			runPair("flipApplySingleCSR", func(f []float64) { flipApplySingleCSR(cols, ws, f[last:], width, -0.5) })
-		}
+// groupSets returns the active-group sets pinned at one width: one group
+// (the hoisted path), a sparse set, and every group of the window (the
+// unrolled path at width 64, the generic loop elsewhere).
+func groupSets(width int) [][]int32 {
+	g := int32(width / 4)
+	all := make([]int32, g)
+	for i := range all {
+		all[i] = int32(i)
 	}
+	return [][]int32{{g - 1}, {0, g / 2, g - 1}, all}
+}
+
+// The CSR push kernels.
+func TestFlipApplyDispatchersNativeMatchesPortable(t *testing.T) {
+	vectorTiers(t, func(t *testing.T, tier string) {
+		for _, width := range kernelWidths {
+			for _, n := range []int{1, 4, 29, 64} {
+				src := rng.New(uint64(n*width)*17 + 5)
+				row := randomFloats(src, n, 1)
+				fields := randomFloats(src, n*width, 1)
+				var d [Lanes]float64
+				copy(d[:], randomFloats(src, Lanes, 2))
+				// Every third row entry becomes a stored CSR coupling.
+				var cols []int32
+				var ws []float64
+				for j := 0; j < n; j += 3 {
+					cols = append(cols, int32(j))
+					ws = append(ws, row[j])
+				}
+				for _, groups := range groupSets(width) {
+					runPair(t, tier, "flipApplyCSR", fields, func(f []float64) { flipApplyCSR(cols, ws, f, width, &d, groups) })
+				}
+				// The single-lane walk takes one lane's strided view; the last
+				// lane of the window exercises an offset other than 0.
+				last := width - 1
+				runPair(t, tier, "flipApplySingleCSR", fields, func(f []float64) { flipApplySingleCSR(cols, ws, f[last:], width, -0.5) })
+			}
+		}
+	})
+}
+
+// flipLists returns the flip lists pinned for n spins: empty, one entry
+// (the last spin, and one in the middle), every third spin, and every
+// spin.
+func flipLists(n int) [][]int32 {
+	var third, all []int32
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			third = append(third, int32(i))
+		}
+		all = append(all, int32(i))
+	}
+	return [][]int32{nil, {int32(n - 1)}, {int32(n / 2)}, third, all}
+}
+
+// The dense pull (one visit) and flush (one sweep's close) kernels.
+func TestPullFlushDispatchersNativeMatchesPortable(t *testing.T) {
+	vectorTiers(t, func(t *testing.T, tier string) {
+		for _, width := range kernelWidths {
+			for _, n := range []int{1, 4, 29, 64} {
+				src := rng.New(uint64(n*width)*31 + 7)
+				jdata := randomFloats(src, n*n, 1)
+				deltas := randomFloats(src, n*width, 2)
+				fields := randomFloats(src, n*width, 1)
+				for _, flips := range flipLists(n) {
+					// Spin j = n−1 pulls from every listed spin; spin 0's
+					// block is the first and so shares no line with an earlier.
+					for _, j := range []int{0, n - 1} {
+						row := jdata[j*n : (j+1)*n]
+						runPair(t, tier, "pullDense", fields, func(f []float64) {
+							pullDense(row, flips, deltas, f[j*width:(j+1)*width])
+						})
+					}
+					runPair(t, tier, "flushDense", fields, func(f []float64) {
+						flushDense(jdata, flips, deltas, f, width)
+					})
+				}
+			}
+		}
+	})
 }
 
 // packedWant against independent wantSpin calls at every window width,
 // across betas that reach both saturation rails (including the every-lane
-// saturated shortcut, whose mask depends on the width) and both dispatch
-// paths.
+// saturated shortcut, whose mask depends on the width) and at the
+// decision's edges, under every tier.
 func TestPackedWantMatchesWantSpin(t *testing.T) {
-	saved := cpufeat.HasAVX2
-	defer func() { cpufeat.HasAVX2 = saved }()
-
-	src := rng.New(5)
-	for _, width := range kernelWidths {
-		f := make([]float64, width)
-		nz := make([]float64, width)
-		for trial := 0; trial < 200; trial++ {
-			beta := float64(trial) * 0.05
-			for k := range f {
-				f[k] = src.Sym() * 8
-				if trial%7 == 0 {
-					f[k] *= 100 // force deep saturation
+	check := func(t *testing.T, tier string) {
+		src := rng.New(5)
+		for _, width := range kernelWidths {
+			f := make([]float64, width)
+			nz := make([]float64, width)
+			for trial := 0; trial < 200; trial++ {
+				beta := float64(trial) * 0.05
+				for k := range f {
+					f[k] = src.Sym() * 8
+					if trial%7 == 0 {
+						f[k] *= 100 // force deep saturation
+					}
+					nz[k] = src.Sym()
 				}
-				nz[k] = src.Sym()
-			}
-			var want uint64
-			for k := range f {
-				if wantSpin(beta*f[k], nz[k]) == 1 {
-					want |= 1 << k
+				if trial%5 == 1 {
+					// Edges: p/q + noise exactly +0 (want +1), and β·f on
+					// and just past either saturation rail.
+					beta = 1
+					for k := range f {
+						f[k], nz[k] = [...]float64{0, 5.06, -5.06, math.Nextafter(5.06, 6), math.Nextafter(-5.06, -6), 0}[k%6], 0
+					}
 				}
-			}
-			for _, native := range []bool{true, false} {
-				cpufeat.HasAVX2 = native && saved
-				if got := packedWant(beta, f, nz); got != want {
-					t.Fatalf("width %d trial %d native=%v: packedWant %#x want %#x", width, trial, native, got, want)
+				var want uint64
+				for k := range f {
+					if wantSpin(beta*f[k], nz[k]) == 1 {
+						want |= 1 << k
+					}
+				}
+				var got uint64
+				withTier(tier, func() { got = packedWant(beta, f, nz) })
+				if got != want {
+					t.Fatalf("width %d trial %d %s: packedWant %#x want %#x", width, trial, tier, got, want)
 				}
 			}
 		}
 	}
+	vectorTiers(t, check)
+	t.Run("portable", func(t *testing.T) { check(t, "portable") })
 }

@@ -14,8 +14,12 @@
 //     contiguous float64 (w/8 cache lines, w/4 AVX2 vectors)
 //   - hb[i·w+k]            — lane lo+k's private bias h_i (each lane runs
 //     its own λ trajectory, so biases diverge across lanes)
-//   - noise[i·w+k]         — per-sweep uniform noise, one draw per lane
-//   - its own flip scratch (per-lane deltas, active groups)
+//   - noise[i·w+k]         — per-sweep uniform noise, one draw per lane;
+//     once spin i is visited its block is spent, and the dense sweep
+//     writes a flipped spin's per-lane deltas δ_i over it
+//   - flips                — the dense sweep's list of this sweep's flipped
+//     spins, in visit order (n entries, allocated once)
+//   - its own CSR flip scratch (per-lane deltas, active groups)
 //
 // The windows partition one n×64 array each for fields, biases and noise
 // (window j's n×w block sits at offset n·lo), so one window (w = 64) is
@@ -31,15 +35,19 @@
 // spin; Sweep: one Sym per spin), and the field updates replicate the
 // scalar kernels' accumulation order per lane — so given the same
 // per-replica sources the packed kernels reproduce 64 scalar trajectories
-// bit-for-bit, at any window count. packed_test.go pins this
-// differentially against the scalar machines; the golden-trajectory tests
-// keep pinning the scalar path itself. See DESIGN.md §5.5.
+// bit-for-bit, at any window count. The dense sweep pulls rather than
+// pushes: each spin brings its own field block up to date from the
+// sweep's earlier flips just before its threshold pass, and one flush
+// after the last visit adds the later ones — the same terms in the same
+// per-lane order as the scalar flip walk, up to ±0 addends.
+// packed_test.go pins this differentially against the scalar machines;
+// the golden-trajectory tests keep pinning the scalar path itself. See
+// DESIGN.md §5.5.
 package pbit
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"github.com/ising-machines/saim/internal/ising"
@@ -106,11 +114,12 @@ type window struct {
 	fields []float64
 	hb     []float64
 	noise  []float64
+	flips  []int32        // the dense sweep's flipped spins, in visit order
 	srcs   []*rng.Source  // the machine's sources for lanes lo…lo+w−1
-	d      [Lanes]float64 // per-lane flip deltas (±2 or 0), scratch
+	d      [Lanes]float64 // per-lane CSR flip deltas (±2 or 0), scratch
 	groups [laneGroups]int32
-	// Keeps d and groups, written on every multi-lane flip, off the cache
-	// lines of the next window, which sweeps on another core.
+	// Keeps d and groups, written on every multi-lane CSR flip, off the
+	// cache lines of the next window, which sweeps on another core.
 	_ [64]byte
 }
 
@@ -197,12 +206,15 @@ func (c *packedCore) build(h vecmat.Vec, src *rng.Source, windows int, sweepWin 
 	}
 	// Every block below is a multiple of 64 bytes, which Go's size
 	// classes place on 64-byte boundaries, so window boundaries are cache
-	// line boundaries: state words pad each window to whole lines.
+	// line boundaries: state words and flip lists pad each window to whole
+	// lines.
 	fields := make([]float64, n*Lanes)
 	hb := make([]float64, n*Lanes)
 	noise := make([]float64, n*Lanes)
 	stride := (n + octet - 1) &^ (octet - 1)
 	states := make([]uint64, nwin*stride)
+	fstride := (n + 2*octet - 1) &^ (2*octet - 1)
+	flips := make([]int32, nwin*fstride)
 	c.wins = make([]window, nwin)
 	lo := 0
 	for j := range c.wins {
@@ -216,6 +228,7 @@ func (c *packedCore) build(h vecmat.Vec, src *rng.Source, windows int, sweepWin 
 		win.fields = fields[n*lo : n*(lo+w)]
 		win.hb = hb[n*lo : n*(lo+w)]
 		win.noise = noise[n*lo : n*(lo+w)]
+		win.flips = flips[j*fstride : j*fstride+n]
 		win.srcs = c.srcs[lo : lo+w]
 		for i, v := range h {
 			for k := 0; k < w; k++ {
@@ -456,40 +469,33 @@ func (m *PackedMachine) recomputeWindow(win *window) {
 	}
 }
 
-// sweepWindow runs one Monte-Carlo sweep of one window: per spin, one
-// packed threshold pass turns w wantSpin decisions into a comparison-mask
-// word (saturation shortcut preserved per lane), the flip mask is XOR-ed
-// into the state word, and the J row is walked once, adding ±2w per
-// flipped lane via sign-select deltas. Single-lane flips — the common case
-// once the anneal cools — take a strided scalar walk instead, which costs
-// exactly one scalar machine's flip.
+// sweepWindow runs one Monte-Carlo sweep of one window. Per spin i, in
+// visit order: pull the sweep's earlier flips into i's field block, turn
+// w wantSpin decisions into a mask word with one packed threshold pass
+// (saturation shortcut preserved per lane), XOR the flips into the state
+// word and, if any lane flipped, write δ_i over i's spent noise block and
+// list i. One flush after the last visit adds each spin's later flips, so
+// the fields are exact again when the sweep returns.
 //
 //saim:hotpath
 func (m *PackedMachine) sweepWindow(win *window, beta float64) {
 	w := win.w
 	win.fillNoise()
-	fields, noise := win.fields, win.noise
+	fields, noise, flips := win.fields, win.noise, win.flips
+	nf := 0
 	for i, s := range win.states {
 		base := i * w
-		want := packedWant(beta, fields[base:base+w], noise[base:base+w])
-		fl := want ^ s
-		if fl == 0 {
-			continue
-		}
-		win.states[i] = want
-		row := m.model.J.Row(i)
-		if fl&(fl-1) == 0 {
-			k := bits.TrailingZeros64(fl)
-			delta := -2.0
-			if want>>uint(k)&1 != 0 {
-				delta = 2.0
-			}
-			flipApplySingleDense(row, fields[k:], w, delta)
-		} else {
-			ng := buildDeltas(fl, want, &win.d, &win.groups)
-			flipApplyDense(row, fields, w, &win.d, win.groups[:ng])
+		field, nz := fields[base:base+w], noise[base:base+w]
+		pullDense(m.model.J.Row(i), flips[:nf], noise, field)
+		want := packedWant(beta, field, nz)
+		if fl := want ^ s; fl != 0 {
+			win.states[i] = want
+			deltaBlock(fl, want, nz)
+			flips[nf] = int32(i)
+			nf++
 		}
 	}
+	flushDense(m.model.J.Data(), flips[:nf], noise, fields, w)
 }
 
 // LaneFieldConsistencyError returns the worst drift between lane r's

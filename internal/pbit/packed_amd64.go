@@ -4,59 +4,111 @@ package pbit
 
 import "github.com/ising-machines/saim/internal/cpufeat"
 
-// AVX2 bodies of the packed-sweep primitives (packed_amd64.s). Each one is
-// the Go reference kernel re-expressed 4 lanes per vector with the exact
-// scalar operation order — same Padé evaluation sequence, same separate
-// multiply-then-add rounding (never FMA) — so the trajectories they produce
-// are bit-identical to the portable path, at every window width.
-// packed_test.go and dispatch_diff_test.go run both by toggling
-// cpufeat.HasAVX2 and require identical results.
+// Vector bodies of the packed-sweep primitives: AVX2 (packed_amd64.s) and
+// AVX-512 (packed_avx512_amd64.s). Each one is the Go reference kernel
+// re-expressed 4 or 8 lanes per vector with the exact scalar operation
+// order — same Padé evaluation sequence, same separate multiply-then-add
+// rounding (never FMA), same per-lane accumulation order — so the
+// trajectories they produce are bit-identical to the portable path, at
+// every window width. The dispatchers read cpufeat.HasAVX512 and
+// cpufeat.HasAVX2 on every call; packed_test.go and dispatch_diff_test.go
+// force each tier and require identical results.
 
 //go:noescape
 func packedWantAVX2(beta float64, f, nz *float64, width int) uint64
 
 //go:noescape
-func flipApplyDenseAVX2(row *float64, nrow int, fields *float64, width int, d *[Lanes]float64, groups *int32, ng int)
+func packedWantAVX512(beta float64, f, nz *float64, width int) uint64
+
+//go:noescape
+func pullDenseAVX2(row *float64, flips *int32, nf int, deltas *float64, field *float64, width int)
+
+//go:noescape
+func pullDenseAVX512(row *float64, flips *int32, nf int, deltas *float64, field *float64, width int)
+
+//go:noescape
+func flushDenseAVX2(jdata *float64, n int, flips *int32, nf int, deltas *float64, fields *float64, width int)
+
+//go:noescape
+func flushDenseAVX512(jdata *float64, n int, flips *int32, nf int, deltas *float64, fields *float64, width int)
 
 //go:noescape
 func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, width int, d *[Lanes]float64, groups *int32, ng int)
 
 //go:noescape
-func flipApplySingleDenseAVX2(row *float64, nrow int, fieldsLane *float64, width int, delta float64)
-
-//go:noescape
 func flipApplySingleCSRAVX2(cols *int32, ws *float64, nnz int, fieldsLane *float64, width int, delta float64)
 
 // packedWant turns one spin's len(f) wantSpin decisions (a window's
-// width: a multiple of 8, at most 64) into a mask word. The dispatcher
-// reads cpufeat.HasAVX2 on every call so tests can force the portable path
-// at runtime.
+// width) into a mask word.
 //
 //saim:hotpath
 func packedWant(beta float64, f, nz []float64) uint64 {
-	if cpufeat.HasAVX2 {
-		nz = nz[:len(f)]
-		return packedWantAVX2(beta, &f[0], &nz[0], len(f))
+	if !cpufeat.HasAVX2 {
+		return packedWantGo(beta, f, nz)
 	}
-	return packedWantGo(beta, f, nz)
+	nz = nz[:len(f)]
+	fp, np := &f[0], &nz[0]
+	if cpufeat.HasAVX512 {
+		return packedWantAVX512(beta, fp, np, len(f))
+	}
+	return packedWantAVX2(beta, fp, np, len(f))
 }
 
-// flipApplyDense adds w·d to every active lane group of each width-lane
-// field block along a dense J row.
+// pullDense adds row[i]·δ_i into one spin's field block for each flipped
+// spin i of flips, in list order (δ_i = deltas[i·w : (i+1)·w], w =
+// len(field)). The list is increasing, so its last entry bounds every
+// index the vector kernels read.
 //
 //saim:hotpath
-func flipApplyDense(row []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
-	if cpufeat.HasAVX2 {
-		if len(row) == 0 || len(groups) == 0 {
-			return
-		}
-		flipApplyDenseAVX2(&row[0], len(row), &fields[0], width, d, &groups[0], len(groups))
+func pullDense(row []float64, flips []int32, deltas []float64, field []float64) {
+	if len(flips) == 0 {
 		return
 	}
-	flipApplyDenseGo(row, fields, width, d, groups)
+	if !cpufeat.HasAVX2 {
+		pullDenseGo(row, flips, deltas, field)
+		return
+	}
+	w := len(field)
+	last := int(flips[len(flips)-1])
+	_ = row[last]
+	_ = deltas[last*w+w-1]
+	rp, lp, dp, fp := &row[0], &flips[0], &deltas[0], &field[0]
+	if cpufeat.HasAVX512 {
+		pullDenseAVX512(rp, lp, len(flips), dp, fp, w)
+		return
+	}
+	pullDenseAVX2(rp, lp, len(flips), dp, fp, w)
 }
 
-// flipApplyCSR is flipApplyDense over CSR column/weight spans.
+// flushDense is one sweep's closing pass: each spin j below the last flip
+// pulls the flips of its J row that came after it. jdata is J row-major,
+// n = len(fields)/width rows of n; the increasing list's last entry
+// bounds the rows, columns and blocks the vector kernels read.
+//
+//saim:hotpath
+func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float64, width int) {
+	if !cpufeat.HasAVX2 {
+		flushDenseGo(jdata, flips, deltas, fields, width)
+		return
+	}
+	if len(flips) == 0 || flips[len(flips)-1] == 0 {
+		return
+	}
+	n := len(fields) / width
+	last := int(flips[len(flips)-1])
+	_ = jdata[(last-1)*n+last]
+	_ = fields[last*width-1]
+	_ = deltas[last*width+width-1]
+	jp, lp, dp, fp := &jdata[0], &flips[0], &deltas[0], &fields[0]
+	if cpufeat.HasAVX512 {
+		flushDenseAVX512(jp, n, lp, len(flips), dp, fp, width)
+		return
+	}
+	flushDenseAVX2(jp, n, lp, len(flips), dp, fp, width)
+}
+
+// flipApplyCSR adds w·d to every active lane group of each width-lane
+// field block along a CSR row.
 //
 //saim:hotpath
 func flipApplyCSR(cols []int32, ws []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
@@ -70,22 +122,8 @@ func flipApplyCSR(cols []int32, ws []float64, fields []float64, width int, d *[L
 	flipApplyCSRGo(cols, ws, fields, width, d, groups)
 }
 
-// flipApplySingleDense propagates a one-lane flip along a dense J row via
-// the strided single-lane walk.
-//
-//saim:hotpath
-func flipApplySingleDense(row []float64, fieldsLane []float64, width int, delta float64) {
-	if cpufeat.HasAVX2 {
-		if len(row) == 0 {
-			return
-		}
-		flipApplySingleDenseAVX2(&row[0], len(row), &fieldsLane[0], width, delta)
-		return
-	}
-	flipApplySingleDenseGo(row, fieldsLane, width, delta)
-}
-
-// flipApplySingleCSR is flipApplySingleDense over CSR spans.
+// flipApplySingleCSR propagates a one-lane flip along a CSR row via the
+// strided single-lane walk.
 //
 //saim:hotpath
 func flipApplySingleCSR(cols []int32, ws []float64, fieldsLane []float64, width int, delta float64) {

@@ -1,10 +1,11 @@
 // AVX2 packed-sweep kernels. Each processes 4 lanes per ymm vector over
-// one lane window: width lanes (a multiple of 8, at most 64) per spin
-// block, width/4 groups, blocks at a stride of width·8 bytes.
-// Floating-point operation order matches the scalar wantSpin / flip
-// kernels exactly (separate multiply and add, never FMA; Padé
-// numerator/denominator evaluated in the scalar nesting order), so results
-// are bit-identical to the portable Go path.
+// one lane window: width lanes (8, 16, 24, 32 or 64) per spin block,
+// width/4 groups, blocks at a stride of width·8 bytes. Floating-point
+// operation order matches the scalar wantSpin / flip kernels exactly
+// (separate multiply and add, never FMA; Padé numerator/denominator
+// evaluated in the scalar nesting order; each lane's field terms added in
+// the scalar order), so results are bit-identical to the portable Go
+// path.
 
 #include "textflag.h"
 
@@ -166,123 +167,170 @@ padenext:
 	VZEROUPPER
 	RET
 
-// func flipApplyDenseAVX2(row *float64, nrow int, fields *float64, width int, d *[64]float64, groups *int32, ng int)
+// Dense pull and flush. Both walk a list of flipped spins i (int32,
+// increasing) and add J[j][i]·δ_i into spin j's field block, where δ_i is
+// the width-lane delta block at deltas + i·width·8. The block's lanes stay
+// in registers for the whole walk — 8 ymm per 32 lanes; width 64 takes
+// two 32-lane passes — so each lane sees its terms in list order, one
+// separately rounded multiply and add per term, exactly as pullDenseGo.
 //
-// fields[j·width+g·4 .. +4] += row[j]·d[g·4 .. +4] for each j and each
-// active group g. Multiply then add as two separately-rounded ops,
-// matching the scalar fj[b] += w*d[b]. One active group (the common
-// co-flip case once the anneal cools) hoists the group's offset and deltas
-// out of the row walk; every group of the window active (the flip-heavy
-// early-anneal regime) takes a fully unrolled block with no group
-// indirection when the window holds 16 groups (width 64) or 8 (width 32).
-TEXT ·flipApplyDenseAVX2(SB), NOSPLIT, $0-56
-	MOVQ  row+0(FP), SI
-	MOVQ  nrow+8(FP), R8
-	MOVQ  fields+16(FP), DI
-	MOVQ  width+24(FP), R12
-	MOVQ  d+32(FP), R9
-	MOVQ  groups+40(FP), R10
-	MOVQ  ng+48(FP), R11
-	SHLQ  $3, R12 // field block stride: width lanes · 8 bytes
-	TESTQ R8, R8
-	JE    done
-	CMPQ  R11, $1
-	JE    onegroup
-	MOVQ  R12, R13
-	SHRQ  $5, R13 // the window's group count, width/4
-	CMPQ  R11, R13
-	JNE   anygroups
-	CMPQ  R13, $16
-	JE    full16
-	CMPQ  R13, $8
-	JE    full8
+// Registers shared by the macros: SI = J row j, R9 = first list entry to
+// apply, R11 = list end, R12 = block stride in bytes, DX = deltas, DI =
+// spin j's field block (offset to the pass's lanes); R10 walks the list,
+// AX holds i and then δ_i's address, Y8 the broadcast J[j][i].
 
-anygroups:
-	TESTQ R11, R11
-	JE    done
+#define YSTEP(off, acc, tmp) VMULPD off(AX), Y8, tmp; VADDPD tmp, acc, acc
+#define YSTEP2 YSTEP(0, Y0, Y9); YSTEP(32, Y1, Y10)
+#define YSTEP4 YSTEP2; YSTEP(64, Y2, Y11); YSTEP(96, Y3, Y12)
+#define YSTEP6 YSTEP4; YSTEP(128, Y4, Y13); YSTEP(160, Y5, Y14)
+#define YSTEP8 YSTEP6; YSTEP(192, Y6, Y15); YSTEP(224, Y7, Y9)
 
-rowloop:
-	VBROADCASTSD (SI), Y0 // w = row[j]
-	XORQ         BX, BX
+#define YLOAD2 VMOVUPD (DI), Y0; VMOVUPD 32(DI), Y1
+#define YLOAD4 YLOAD2; VMOVUPD 64(DI), Y2; VMOVUPD 96(DI), Y3
+#define YLOAD6 YLOAD4; VMOVUPD 128(DI), Y4; VMOVUPD 160(DI), Y5
+#define YLOAD8 YLOAD6; VMOVUPD 192(DI), Y6; VMOVUPD 224(DI), Y7
 
-grouploop:
-	MOVLQSX (R10)(BX*4), AX
-	SHLQ    $5, AX            // byte offset of group: g·4 lanes · 8 bytes
-	VMOVUPD (R9)(AX*1), Y1    // d
-	VMULPD  Y0, Y1, Y1        // w·d
-	VADDPD  (DI)(AX*1), Y1, Y2
-	VMOVUPD Y2, (DI)(AX*1)
-	INCQ    BX
-	CMPQ    BX, R11
-	JNE     grouploop
+#define YSTORE2 VMOVUPD Y0, (DI); VMOVUPD Y1, 32(DI)
+#define YSTORE4 YSTORE2; VMOVUPD Y2, 64(DI); VMOVUPD Y3, 96(DI)
+#define YSTORE6 YSTORE4; VMOVUPD Y4, 128(DI); VMOVUPD Y5, 160(DI)
+#define YSTORE8 YSTORE6; VMOVUPD Y6, 192(DI); VMOVUPD Y7, 224(DI)
 
-	ADDQ $8, SI
-	ADDQ R12, DI // next spin's field block
-	DECQ R8
-	JNE  rowloop
-	JMP  done
+// YPASS loads one pass's lanes of spin j's block, applies the list from
+// R9 to R11 (at least one entry), and stores them back.
+#define YPASS(load, steps, store, loop) \
+	load                        \
+	MOVQ         R9, R10        \
+loop:                               \
+	MOVLQSX      (R10), AX      \
+	VBROADCASTSD (SI)(AX*8), Y8 \
+	IMULQ        R12, AX        \
+	ADDQ         DX, AX         \
+	steps                       \
+	ADDQ         $4, R10        \
+	CMPQ         R10, R11       \
+	JNE          loop           \
+	store
 
-onegroup:
-	MOVLQSX (R10), AX
-	SHLQ    $5, AX
-	ADDQ    AX, DI          // field pointer lands on the active group
-	VMOVUPD (R9)(AX*1), Y3  // the group's deltas, hoisted
+// func pullDenseAVX2(row *float64, flips *int32, nf int, deltas *float64, field *float64, width int)
+//
+// One visit's pull: field[k] += row[i]·δ_i[k] for each listed i (nf ≥ 1).
+TEXT ·pullDenseAVX2(SB), NOSPLIT, $0-48
+	MOVQ row+0(FP), SI
+	MOVQ flips+8(FP), R9
+	MOVQ nf+16(FP), R11
+	MOVQ deltas+24(FP), DX
+	MOVQ field+32(FP), DI
+	MOVQ width+40(FP), R12
+	SHLQ $3, R12          // block stride: width lanes · 8 bytes
+	LEAQ (R9)(R11*4), R11 // list end
+	CMPQ R12, $64
+	JEQ  w8
+	CMPQ R12, $128
+	JEQ  w16
+	CMPQ R12, $192
+	JEQ  w24
+	CMPQ R12, $256
+	JEQ  w32
+	YPASS(YLOAD8, YSTEP8, YSTORE8, w64lo)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	YPASS(YLOAD8, YSTEP8, YSTORE8, w64hi)
+	VZEROUPPER
+	RET
 
-onerow:
-	VBROADCASTSD (SI), Y0
-	VMULPD       Y3, Y0, Y1
-	VADDPD       (DI), Y1, Y2
-	VMOVUPD      Y2, (DI)
-	ADDQ         $8, SI
-	ADDQ         R12, DI
-	DECQ         R8
-	JNE          onerow
-	JMP          done
+w32:
+	YPASS(YLOAD8, YSTEP8, YSTORE8, w32loop)
+	VZEROUPPER
+	RET
 
-#define FLIPGROUP(off) \
-	VMOVUPD off(R9), Y1  \
-	VMULPD  Y0, Y1, Y1   \
-	VADDPD  off(DI), Y1, Y2 \
-	VMOVUPD Y2, off(DI)
+w24:
+	YPASS(YLOAD6, YSTEP6, YSTORE6, w24loop)
+	VZEROUPPER
+	RET
 
-full16:
-	VBROADCASTSD (SI), Y0
-	FLIPGROUP(0)
-	FLIPGROUP(32)
-	FLIPGROUP(64)
-	FLIPGROUP(96)
-	FLIPGROUP(128)
-	FLIPGROUP(160)
-	FLIPGROUP(192)
-	FLIPGROUP(224)
-	FLIPGROUP(256)
-	FLIPGROUP(288)
-	FLIPGROUP(320)
-	FLIPGROUP(352)
-	FLIPGROUP(384)
-	FLIPGROUP(416)
-	FLIPGROUP(448)
-	FLIPGROUP(480)
-	ADDQ $8, SI
-	ADDQ R12, DI
-	DECQ R8
-	JNE  full16
-	JMP  done
+w16:
+	YPASS(YLOAD4, YSTEP4, YSTORE4, w16loop)
+	VZEROUPPER
+	RET
 
-full8:
-	VBROADCASTSD (SI), Y0
-	FLIPGROUP(0)
-	FLIPGROUP(32)
-	FLIPGROUP(64)
-	FLIPGROUP(96)
-	FLIPGROUP(128)
-	FLIPGROUP(160)
-	FLIPGROUP(192)
-	FLIPGROUP(224)
-	ADDQ $8, SI
-	ADDQ R12, DI
-	DECQ R8
-	JNE  full8
+w8:
+	YPASS(YLOAD2, YSTEP2, YSTORE2, w8loop)
+	VZEROUPPER
+	RET
+
+// YNEXT advances R9 past the list entries ≤ j (BX), finishing the flush
+// once none is left, and falls into body.
+#define YNEXT(skip, body) \
+skip:                       \
+	CMPQ    R9, R11     \
+	JEQ     done        \
+	MOVLQSX (R9), AX    \
+	CMPQ    AX, BX      \
+	JGT     body        \
+	ADDQ    $4, R9      \
+	JMP     skip        \
+body:
+
+// YSPIN moves on to spin j+1: its J row and its field block.
+#define YSPIN(skip) \
+	INCQ BX      \
+	ADDQ R8, SI  \
+	ADDQ R12, DI \
+	JMP  skip
+
+// func flushDenseAVX2(jdata *float64, n int, flips *int32, nf int, deltas *float64, fields *float64, width int)
+//
+// One sweep's flush: for j = 0, 1, … while some listed i exceeds j, spin
+// j's block takes J[j][i]·δ_i for each listed i > j, in list order.
+TEXT ·flushDenseAVX2(SB), NOSPLIT, $0-56
+	MOVQ jdata+0(FP), SI
+	MOVQ n+8(FP), R8
+	MOVQ flips+16(FP), R9
+	MOVQ nf+24(FP), R11
+	MOVQ deltas+32(FP), DX
+	MOVQ fields+40(FP), DI
+	MOVQ width+48(FP), R12
+	SHLQ $3, R8           // J row stride: n · 8 bytes
+	SHLQ $3, R12          // block stride: width lanes · 8 bytes
+	LEAQ (R9)(R11*4), R11 // list end
+	XORQ BX, BX           // j
+	CMPQ R12, $64
+	JEQ  w8
+	CMPQ R12, $128
+	JEQ  w16
+	CMPQ R12, $192
+	JEQ  w24
+	CMPQ R12, $256
+	JEQ  w32
+
+	YNEXT(w64skip, w64body)
+	YPASS(YLOAD8, YSTEP8, YSTORE8, w64lo)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	YPASS(YLOAD8, YSTEP8, YSTORE8, w64hi)
+	SUBQ $256, DI
+	SUBQ $256, DX
+	YSPIN(w64skip)
+
+w32:
+	YNEXT(w32skip, w32body)
+	YPASS(YLOAD8, YSTEP8, YSTORE8, w32loop)
+	YSPIN(w32skip)
+
+w24:
+	YNEXT(w24skip, w24body)
+	YPASS(YLOAD6, YSTEP6, YSTORE6, w24loop)
+	YSPIN(w24skip)
+
+w16:
+	YNEXT(w16skip, w16body)
+	YPASS(YLOAD4, YSTEP4, YSTORE4, w16loop)
+	YSPIN(w16skip)
+
+w8:
+	YNEXT(w8skip, w8body)
+	YPASS(YLOAD2, YSTEP2, YSTORE2, w8loop)
+	YSPIN(w8skip)
 
 done:
 	VZEROUPPER
@@ -290,9 +338,12 @@ done:
 
 // func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, width int, d *[64]float64, groups *int32, ng int)
 //
-// CSR variant: fields[cols[k]·width+…] += ws[k]·d[…] per active group,
-// with the same one-group specialization; every group active unrolls at
-// 16 groups (width 64) only, narrower windows take the group loop.
+// fields[cols[k]·width+g·4 .. +4] += ws[k]·d[g·4 .. +4] for each stored
+// coupling k and each active group g. Multiply then add as two
+// separately-rounded ops, matching the scalar fj[b] += w*d[b]. One active
+// group hoists the group's offset and deltas out of the entry walk; every
+// group active unrolls at 16 groups (width 64), narrower windows take the
+// group loop.
 TEXT ·flipApplyCSRAVX2(SB), NOSPLIT, $0-64
 	MOVQ  cols+0(FP), SI
 	MOVQ  ws+8(FP), DX
@@ -395,35 +446,11 @@ done:
 	VZEROUPPER
 	RET
 
-// func flipApplySingleDenseAVX2(row *float64, nrow int, fieldsLane *float64, width int, delta float64)
-//
-// One-lane flip: fieldsLane[j·width] += row[j]·delta — the scalar flip
-// loop at a stride of width·8 bytes. VEX scalar ops keep the upper ymm
-// state clean, so no VZEROUPPER is needed.
-TEXT ·flipApplySingleDenseAVX2(SB), NOSPLIT, $0-40
-	MOVQ   row+0(FP), SI
-	MOVQ   nrow+8(FP), R8
-	MOVQ   fieldsLane+16(FP), DI
-	MOVQ   width+24(FP), R9
-	VMOVSD delta+32(FP), X0
-	SHLQ   $3, R9 // stride bytes
-	TESTQ  R8, R8
-	JE     done
-
-loop:
-	VMOVSD (SI), X1
-	VMULSD X0, X1, X1
-	VADDSD (DI), X1, X2
-	VMOVSD X2, (DI)
-	ADDQ   $8, SI
-	ADDQ   R9, DI
-	DECQ   R8
-	JNE    loop
-
-done:
-	RET
-
 // func flipApplySingleCSRAVX2(cols *int32, ws *float64, nnz int, fieldsLane *float64, width int, delta float64)
+//
+// One-lane flip: fieldsLane[cols[k]·width] += ws[k]·delta — the scalar
+// flip loop at a stride of width·8 bytes. VEX scalar ops keep the upper
+// ymm state clean, so no VZEROUPPER is needed.
 TEXT ·flipApplySingleCSRAVX2(SB), NOSPLIT, $0-48
 	MOVQ   cols+0(FP), SI
 	MOVQ   ws+8(FP), DX

@@ -3,6 +3,7 @@ package pbit
 import (
 	"testing"
 
+	"github.com/ising-machines/saim/internal/cpufeat"
 	"github.com/ising-machines/saim/internal/rng"
 	"github.com/ising-machines/saim/internal/schedule"
 )
@@ -75,16 +76,36 @@ func BenchmarkPackedAnnealSparseScalarPool64(b *testing.B) {
 // Sweep-only microbenchmarks at a fixed mid-anneal temperature mix,
 // isolating the kernel from Randomize/RecomputeFields.
 
+// BenchmarkPackedSweepDense times one packed Sweep (every window in turn,
+// on the caller). n=100 is the historical one-window layout; windows=1 and
+// windows=2 at n = 160 are the layouts qkp-dense runs (one window per core
+// on two cores sweeps 32 lanes each). tier=avx2 repeats those two with the
+// AVX-512 tier cleared, timing what AVX2-only hardware runs.
 func BenchmarkPackedSweepDense(b *testing.B) {
-	src := rng.New(7)
-	model := randomModel(src, 100)
-	m := NewPacked(model, rng.New(9))
-	m.Randomize()
-	sched := schedule.Linear{Start: 0.1, End: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Sweep(sched.Beta(i%200, 200))
+	sweep := func(n, windows int) func(b *testing.B) {
+		return func(b *testing.B) {
+			model := randomModel(rng.New(7), n)
+			m := NewPackedWindows(model, rng.New(9), windows)
+			m.Randomize()
+			sched := schedule.Linear{Start: 0.1, End: 3}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Sweep(sched.Beta(i%200, 200))
+			}
+		}
 	}
+	b.Run("n=100", sweep(100, 1))
+	b.Run("windows=1", sweep(160, 1))
+	b.Run("windows=2", sweep(160, 2))
+	b.Run("tier=avx2", func(b *testing.B) {
+		if !hasAVX2 {
+			b.Skip("this CPU lacks the avx2 tier")
+		}
+		cpufeat.HasAVX512 = false
+		defer func() { cpufeat.HasAVX512 = hasAVX512 }()
+		b.Run("windows=1", sweep(160, 1))
+		b.Run("windows=2", sweep(160, 2))
+	})
 }
 
 func BenchmarkPackedSweepDenseScalarPool64(b *testing.B) {

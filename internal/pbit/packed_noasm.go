@@ -10,18 +10,18 @@ func packedWant(beta float64, f, nz []float64) uint64 {
 }
 
 //saim:hotpath
-func flipApplyDense(row []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
-	flipApplyDenseGo(row, fields, width, d, groups)
+func pullDense(row []float64, flips []int32, deltas []float64, field []float64) {
+	pullDenseGo(row, flips, deltas, field)
+}
+
+//saim:hotpath
+func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float64, width int) {
+	flushDenseGo(jdata, flips, deltas, fields, width)
 }
 
 //saim:hotpath
 func flipApplyCSR(cols []int32, ws []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
 	flipApplyCSRGo(cols, ws, fields, width, d, groups)
-}
-
-//saim:hotpath
-func flipApplySingleDense(row []float64, fieldsLane []float64, width int, delta float64) {
-	flipApplySingleDenseGo(row, fieldsLane, width, delta)
 }
 
 //saim:hotpath

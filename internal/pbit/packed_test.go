@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ising-machines/saim/internal/cpufeat"
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
 	"github.com/ising-machines/saim/internal/schedule"
@@ -144,13 +143,21 @@ func sparseQUBOModel(seed uint64) *ising.Model {
 	return q.ToIsing()
 }
 
+// The dense pull kernels must match the scalar fleet under every tier, at
+// every window count.
 func TestPackedDenseMatchesScalarFleet(t *testing.T) {
 	model := randomModel(rng.New(21), 33)
-	for _, k := range windowCounts {
-		pm := NewPackedWindows(model, rng.New(777), k)
-		runDifferential(t, pm, scalarFleet(model, 777, false),
-			func(m interface{}, i int) float64 { return m.(*Machine).field[i] })
+	check := func(t *testing.T, tier string) {
+		withTier(tier, func() {
+			for _, k := range windowCounts {
+				pm := NewPackedWindows(model, rng.New(777), k)
+				runDifferential(t, pm, scalarFleet(model, 777, false),
+					func(m interface{}, i int) float64 { return m.(*Machine).field[i] })
+			}
+		})
 	}
+	vectorTiers(t, check)
+	t.Run("portable", func(t *testing.T) { check(t, "portable") })
 }
 
 func TestPackedSparseMatchesScalarFleet(t *testing.T) {
@@ -315,48 +322,48 @@ func TestPackedWindowLayout(t *testing.T) {
 	}
 }
 
-// The AVX2 kernels and the portable Go kernels must produce bit-identical
-// trajectories: run the same seeded anneal under both dispatch paths and
-// compare every lane's final state and every field word, at every window
-// count.
+// Every vector tier and the portable Go kernels must produce
+// bit-identical trajectories: run the same seeded anneal under a tier and
+// under the portable path and compare every lane's final state and every
+// field word, at every window count.
 func TestPackedNativeMatchesPortable(t *testing.T) {
-	saved := cpufeat.HasAVX2
-	defer func() { cpufeat.HasAVX2 = saved }()
-
 	model := randomModel(rng.New(23), 29)
 	sched := schedule.Linear{Start: 0.1, End: 3.5}
 
-	for _, k := range windowCounts {
-		run := func(native bool) (*PackedMachine, *PackedSparseMachine) {
-			cpufeat.HasAVX2 = native && saved
-			d := NewPackedWindows(model, rng.New(99), k)
-			d.AnnealRun(sched, 50)
-			d.Close()
-			s := NewPackedSparseWindows(model, rng.New(99), k)
-			s.AnnealRun(sched, 50)
-			s.Close()
-			return d, s
-		}
-		dn, sn := run(true)
-		dp, sp := run(false)
+	vectorTiers(t, func(t *testing.T, tier string) {
+		for _, k := range windowCounts {
+			run := func(tier string) (d *PackedMachine, s *PackedSparseMachine) {
+				withTier(tier, func() {
+					d = NewPackedWindows(model, rng.New(99), k)
+					d.AnnealRun(sched, 50)
+					d.Close()
+					s = NewPackedSparseWindows(model, rng.New(99), k)
+					s.AnnealRun(sched, 50)
+					s.Close()
+				})
+				return d, s
+			}
+			dn, sn := run(tier)
+			dp, sp := run("portable")
 
-		for i := 0; i < model.N(); i++ {
-			if dn.laneWord(i) != dp.laneWord(i) {
-				t.Fatalf("%d windows: dense spin %d: native state %#x portable %#x", k, i, dn.laneWord(i), dp.laneWord(i))
-			}
-			if sn.laneWord(i) != sp.laneWord(i) {
-				t.Fatalf("%d windows: sparse spin %d: native state %#x portable %#x", k, i, sn.laneWord(i), sp.laneWord(i))
-			}
-			for r := 0; r < Lanes; r++ {
-				if a, b := dn.laneField(i, r), dp.laneField(i, r); a != b {
-					t.Fatalf("%d windows: dense field (%d,%d): native %v portable %v", k, i, r, a, b)
+			for i := 0; i < model.N(); i++ {
+				if dn.laneWord(i) != dp.laneWord(i) {
+					t.Fatalf("%d windows: dense spin %d: %s state %#x portable %#x", k, i, tier, dn.laneWord(i), dp.laneWord(i))
 				}
-				if a, b := sn.laneField(i, r), sp.laneField(i, r); a != b {
-					t.Fatalf("%d windows: sparse field (%d,%d): native %v portable %v", k, i, r, a, b)
+				if sn.laneWord(i) != sp.laneWord(i) {
+					t.Fatalf("%d windows: sparse spin %d: %s state %#x portable %#x", k, i, tier, sn.laneWord(i), sp.laneWord(i))
+				}
+				for r := 0; r < Lanes; r++ {
+					if a, b := math.Float64bits(dn.laneField(i, r)), math.Float64bits(dp.laneField(i, r)); a != b {
+						t.Fatalf("%d windows: dense field (%d,%d): %s %x portable %x", k, i, r, tier, a, b)
+					}
+					if a, b := math.Float64bits(sn.laneField(i, r)), math.Float64bits(sp.laneField(i, r)); a != b {
+						t.Fatalf("%d windows: sparse field (%d,%d): %s %x portable %x", k, i, r, tier, a, b)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // Per-lane bias reprogramming must follow the scalar UpdateBiases

@@ -29,13 +29,23 @@ func fillSym4(srcs *[4]*Source, dst []float64, n, stride int) {
 	}
 }
 
-// fillSym8AVX2 steps eight xoshiro256** states as two 4-wide SoA blocks
-// (words 0-15 quad A as in fillSym4AVX2, words 16-31 quad B), writing each
-// round's eight draws contiguously at dst, then advancing by strideBytes.
+// fillSym8AVX2 and fillSym8AVX512 step eight xoshiro256** states held
+// structure-of-arrays (words 0-7 the eight sources' s0, 8-15 s1, 16-23 s2,
+// 24-31 s3), writing each round's eight [-1, 1) draws contiguously at dst,
+// then advancing by strideBytes. The AVX2 kernel steps lanes 0-3 and 4-7
+// as two interleaved 4-wide chains; the AVX-512 kernel holds each state
+// word of all eight lanes in one zmm register.
 //
 //go:noescape
 func fillSym8AVX2(state *[32]uint64, dst *float64, n, strideBytes int)
 
+//go:noescape
+func fillSym8AVX512(state *[32]uint64, dst *float64, n, strideBytes int)
+
+// fillSym8 dispatches FillSym8Strided to the widest kernel the CPU has:
+// AVX-512, AVX2, then portable. It reads the cpufeat flags on every call
+// so tests can force each tier.
+//
 //saim:hotpath
 func fillSym8(srcs *[8]*Source, dst []float64, n, stride int) {
 	if !cpufeat.HasAVX2 {
@@ -43,15 +53,16 @@ func fillSym8(srcs *[8]*Source, dst []float64, n, stride int) {
 		return
 	}
 	var st [32]uint64
-	for l := 0; l < 4; l++ {
-		a, b := srcs[l], srcs[4+l]
-		st[l], st[4+l], st[8+l], st[12+l] = a.s0, a.s1, a.s2, a.s3
-		st[16+l], st[20+l], st[24+l], st[28+l] = b.s0, b.s1, b.s2, b.s3
+	for l, s := range srcs {
+		st[l], st[8+l], st[16+l], st[24+l] = s.s0, s.s1, s.s2, s.s3
 	}
-	fillSym8AVX2(&st, &dst[0], n, stride*8)
-	for l := 0; l < 4; l++ {
-		a, b := srcs[l], srcs[4+l]
-		a.s0, a.s1, a.s2, a.s3 = st[l], st[4+l], st[8+l], st[12+l]
-		b.s0, b.s1, b.s2, b.s3 = st[16+l], st[20+l], st[24+l], st[28+l]
+	d := &dst[0]
+	if cpufeat.HasAVX512 {
+		fillSym8AVX512(&st, d, n, stride*8)
+	} else {
+		fillSym8AVX2(&st, d, n, stride*8)
+	}
+	for l, s := range srcs {
+		s.s0, s.s1, s.s2, s.s3 = st[l], st[8+l], st[16+l], st[24+l]
 	}
 }

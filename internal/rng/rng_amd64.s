@@ -119,9 +119,10 @@ done:
 
 // func fillSym8AVX2(state *[32]uint64, dst *float64, n, strideBytes int)
 //
-// Two independent 4-wide xoshiro256** chains (quad A in Y0-Y3, quad B in
-// Y4-Y7) stepped per round, emitting 8 contiguous draws (one full cache
-// line) at dst before advancing by strideBytes. The two chains' dependency
+// Two independent 4-wide xoshiro256** chains (quad A = lanes 0-3 in
+// Y0-Y3, quad B = lanes 4-7 in Y4-Y7; state word w of lane l at
+// state[8w+l]) stepped per round, emitting 8 contiguous draws (one full
+// cache line) at dst before advancing by strideBytes. The two chains' dependency
 // graphs are disjoint, so their state-transition latencies overlap — this
 // is what the single-chain 4-wide kernel is bound on. Constants come from
 // memory operands to keep all 16 ymm registers for chain state and temps.
@@ -133,12 +134,12 @@ TEXT ·fillSym8AVX2(SB), NOSPLIT, $0-32
 	MOVQ strideBytes+24(FP), R9
 
 	VMOVDQU (SI), Y0    // A: s0
-	VMOVDQU 32(SI), Y1  // A: s1
-	VMOVDQU 64(SI), Y2  // A: s2
-	VMOVDQU 96(SI), Y3  // A: s3
-	VMOVDQU 128(SI), Y4 // B: s0
-	VMOVDQU 160(SI), Y5 // B: s1
-	VMOVDQU 192(SI), Y6 // B: s2
+	VMOVDQU 64(SI), Y1  // A: s1
+	VMOVDQU 128(SI), Y2 // A: s2
+	VMOVDQU 192(SI), Y3 // A: s3
+	VMOVDQU 32(SI), Y4  // B: s0
+	VMOVDQU 96(SI), Y5  // B: s1
+	VMOVDQU 160(SI), Y6 // B: s2
 	VMOVDQU 224(SI), Y7 // B: s3
 
 	TESTQ CX, CX
@@ -209,12 +210,74 @@ loop:
 
 done:
 	VMOVDQU Y0, (SI)
-	VMOVDQU Y1, 32(SI)
-	VMOVDQU Y2, 64(SI)
-	VMOVDQU Y3, 96(SI)
-	VMOVDQU Y4, 128(SI)
-	VMOVDQU Y5, 160(SI)
-	VMOVDQU Y6, 192(SI)
+	VMOVDQU Y1, 64(SI)
+	VMOVDQU Y2, 128(SI)
+	VMOVDQU Y3, 192(SI)
+	VMOVDQU Y4, 32(SI)
+	VMOVDQU Y5, 96(SI)
+	VMOVDQU Y6, 160(SI)
 	VMOVDQU Y7, 224(SI)
+	VZEROUPPER
+	RET
+
+// func fillSym8AVX512(state *[32]uint64, dst *float64, n, strideBytes int)
+//
+// One 8-lane xoshiro256** chain: Z0-Z3 hold the eight sources' s0…s3 (the
+// fillSym8AVX2 state layout), so each round is one chain step emitting 8
+// contiguous draws (one full cache line) at dst before advancing by
+// strideBytes. VPROLQ does both
+// rotations in one instruction each, and VCVTUQQ2PD converts r>>11
+// (below 2^53) to float64 exactly, replacing the AVX2 kernel's magic-
+// number split. Multiply and subtract stay separate, so per-lane streams
+// are bit-identical to Source.Sym.
+TEXT ·fillSym8AVX512(SB), NOSPLIT, $0-32
+	MOVQ state+0(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ n+16(FP), CX
+	MOVQ strideBytes+24(FP), R9
+
+	VMOVDQU64 (SI), Z0    // s0
+	VMOVDQU64 64(SI), Z1  // s1
+	VMOVDQU64 128(SI), Z2 // s2
+	VMOVDQU64 192(SI), Z3 // s3
+	VBROADCASTSD c2m52<>(SB), Z12
+	VBROADCASTSD one<>(SB), Z13
+
+	TESTQ CX, CX
+	JZ    done
+
+loop:
+	// result = rotl(s1*5, 7) * 9
+	VPSLLQ $2, Z1, Z4
+	VPADDQ Z1, Z4, Z4 // s1*5
+	VPROLQ $7, Z4, Z4
+	VPSLLQ $3, Z4, Z5
+	VPADDQ Z4, Z5, Z5 // ·*9
+
+	// xoshiro256** state transition
+	VPSLLQ $17, Z1, Z6 // t = s1 << 17
+	VPXORQ Z0, Z2, Z2  // s2 ^= s0
+	VPXORQ Z1, Z3, Z3  // s3 ^= s1
+	VPXORQ Z2, Z1, Z1  // s1 ^= s2
+	VPXORQ Z3, Z0, Z0  // s0 ^= s3
+	VPXORQ Z6, Z2, Z2  // s2 ^= t
+	VPROLQ $45, Z3, Z3 // s3 = rotl(s3, 45)
+
+	// v = result >> 11, converted exactly, mapped to v·2^-52 − 1.
+	VPSRLQ     $11, Z5, Z5
+	VCVTUQQ2PD Z5, Z5
+	VMULPD     Z12, Z5, Z5
+	VSUBPD     Z13, Z5, Z5
+	VMOVUPD    Z5, (DI)
+
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  loop
+
+done:
+	VMOVDQU64 Z0, (SI)
+	VMOVDQU64 Z1, 64(SI)
+	VMOVDQU64 Z2, 128(SI)
+	VMOVDQU64 Z3, 192(SI)
 	VZEROUPPER
 	RET

@@ -117,9 +117,9 @@ func TestFillSym4StridedLaneIdentity(t *testing.T) {
 	}
 }
 
-// FillSym8Strided interleaves eight independent generators as two 4-wide
-// chains: every lane must reproduce its own Sym sequence bit-for-bit, on
-// both the vector and the portable kernel.
+// FillSym8Strided interleaves eight independent generators: every lane
+// must reproduce its own Sym sequence bit-for-bit, on every kernel tier
+// the CPU has.
 func TestFillSym8StridedLaneIdentity(t *testing.T) {
 	const stride = 64
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
@@ -155,11 +155,13 @@ func TestFillSym8StridedLaneIdentity(t *testing.T) {
 				}
 			}
 		}
-		check("native", run())
-		if cpufeat.HasAVX2 {
-			cpufeat.HasAVX2 = false
-			check("portable", run())
-			cpufeat.HasAVX2 = true
+		for _, tier := range []struct {
+			name string
+			ok   bool
+		}{{"avx512", hasAVX512}, {"avx2", hasAVX2}, {"portable", true}} {
+			if tier.ok {
+				withTier(tier.name, func() { check(tier.name, run()) })
+			}
 		}
 	}
 }

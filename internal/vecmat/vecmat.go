@@ -139,6 +139,10 @@ func (m *Sym) Add(i, j int, v float64) {
 // through Set/Add, which keep the matrix symmetric.
 func (m *Sym) Row(i int) []float64 { return m.data[i*m.n : (i+1)*m.n] }
 
+// Data returns a read-only view of all n² entries, row-major: for kernels
+// that walk many rows in one call. Callers must not modify it.
+func (m *Sym) Data() []float64 { return m.data }
+
 // Clone returns a deep copy of m.
 func (m *Sym) Clone() *Sym {
 	out := NewSym(m.n)
