@@ -122,40 +122,86 @@ func TestFlipApplyDispatchersNativeMatchesPortable(t *testing.T) {
 }
 
 // flipLists returns the flip lists pinned for n spins: empty, one entry
-// (the last spin, and one in the middle), every third spin, and every
-// spin.
+// (the last spin, and one in the middle), every third spin, every spin,
+// and the odd spins — in a flush by pairs (j, j+1), j even, each of those
+// is the flip j+1 that j's block takes alone before the pair's common
+// tail, and {1} is that step with no tail.
 func flipLists(n int) [][]int32 {
-	var third, all []int32
+	var third, all, odd []int32
 	for i := 0; i < n; i++ {
 		if i%3 == 0 {
 			third = append(third, int32(i))
 		}
+		if i%2 == 1 {
+			odd = append(odd, int32(i))
+		}
 		all = append(all, int32(i))
 	}
-	return [][]int32{nil, {int32(n - 1)}, {int32(n / 2)}, third, all}
+	lists := [][]int32{nil, {int32(n - 1)}, {int32(n / 2)}, third, all, odd}
+	if n > 1 {
+		lists = append(lists, []int32{1})
+	}
+	return lists
 }
 
-// The dense pull (one visit) and flush (one sweep's close) kernels.
+// randomDeltas returns n δ lanes drawn from {+2, −2, 0}: the only values
+// the sweep writes (deltaBlock), and the precondition under which the
+// AVX-512 tier's fused multiply-add rounds as the separate multiply and
+// add of the portable body (with every |J| ≤ fusedBound).
+func randomDeltas(src *rng.Source, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = [...]float64{2, -2, 0}[src.Intn(3)]
+	}
+	return out
+}
+
+// The dense pull (one spin, or a pair j, j+1, per visit) and flush (one
+// sweep's close) kernels, with the fused flag set and clear. Odd n leaves
+// the flush a lone last row; the hand-off shape is the one-row pull of a
+// list ending in j into j+1's block, the sweep's step after j flips.
 func TestPullFlushDispatchersNativeMatchesPortable(t *testing.T) {
 	vectorTiers(t, func(t *testing.T, tier string) {
 		for _, width := range kernelWidths {
-			for _, n := range []int{1, 4, 29, 64} {
+			for _, n := range []int{1, 2, 4, 7, 29, 64} {
 				src := rng.New(uint64(n*width)*31 + 7)
 				jdata := randomFloats(src, n*n, 1)
-				deltas := randomFloats(src, n*width, 2)
+				deltas := randomDeltas(src, n*width)
 				fields := randomFloats(src, n*width, 1)
-				for _, flips := range flipLists(n) {
-					// Spin j = n−1 pulls from every listed spin; spin 0's
-					// block is the first and so shares no line with an earlier.
-					for _, j := range []int{0, n - 1} {
-						row := jdata[j*n : (j+1)*n]
-						runPair(t, tier, "pullDense", fields, func(f []float64) {
-							pullDense(row, flips, deltas, f[j*width:(j+1)*width])
+				row := func(j int) []float64 { return jdata[j*n : (j+1)*n] }
+				block := func(f []float64, j, blocks int) []float64 { return f[j*width : (j+blocks)*width] }
+				for _, fused := range []bool{true, false} {
+					for _, flips := range flipLists(n) {
+						// Spin j = n−1 pulls from every listed spin; spin 0's
+						// block is the first and so shares no line with an earlier.
+						for _, j := range []int{0, n - 1} {
+							runPair(t, tier, "pullDense", fields, func(f []float64) {
+								pullDense(row(j), flips, deltas, block(f, j, 1), fused)
+							})
+						}
+						for _, j := range []int{0, n - 2} {
+							if n < 2 {
+								break
+							}
+							runPair(t, tier, "pullDensePair", fields, func(f []float64) {
+								pullDensePair(row(j), row(j+1), flips, deltas, block(f, j, 2), fused)
+							})
+						}
+						runPair(t, tier, "flushDense", fields, func(f []float64) {
+							flushDense(jdata, flips, deltas, f, width, fused)
 						})
 					}
-					runPair(t, tier, "flushDense", fields, func(f []float64) {
-						flushDense(jdata, flips, deltas, f, width)
-					})
+					// The hand-off: the flips below j, then j, into j+1's block.
+					for j := 0; j+1 < n; j += max(1, n/3) {
+						var handoff []int32
+						for i := 0; i < j; i += 3 {
+							handoff = append(handoff, int32(i))
+						}
+						handoff = append(handoff, int32(j))
+						runPair(t, tier, "pullDense hand-off", fields, func(f []float64) {
+							pullDense(row(j+1), handoff, deltas, block(f, j+1, 1), fused)
+						})
+					}
 				}
 			}
 		}

@@ -39,7 +39,8 @@
 // pushes: each spin brings its own field block up to date from the
 // sweep's earlier flips just before its threshold pass, and one flush
 // after the last visit adds the later ones — the same terms in the same
-// per-lane order as the scalar flip walk, up to ±0 addends.
+// per-lane order as the scalar flip walk, up to ±0 addends. It visits the
+// spins in pairs, so one list walk serves two field blocks.
 // packed_test.go pins this differentially against the scalar machines;
 // the golden-trajectory tests keep pinning the scalar path itself. See
 // DESIGN.md §5.5.
@@ -411,7 +412,16 @@ func (c *packedCore) runWindow(win *window) {
 type PackedMachine struct {
 	packedCore
 	model *ising.Model
+	// fused: every |J_ij| ≤ fusedBound, so every J·δ the sweep forms is
+	// exact and the pull and flush may fuse it into the add.
+	fused bool
 }
+
+// fusedBound is the largest |J_ij| whose product with δ = ±2 cannot
+// overflow, and so is exact: round(f + J·δ) in one rounding then equals
+// round(f + round(J·δ)). Validate admits any finite J; a machine whose J
+// exceeds the bound runs its pull and flush without fusing.
+const fusedBound = math.MaxFloat64 / 2
 
 // NewPacked returns a one-window dense packed machine with every lane's
 // spins at −1 and per-lane sources split off src (in lane order).
@@ -428,15 +438,17 @@ func NewPackedWindows(model *ising.Model, src *rng.Source, windows int) *PackedM
 	if err := model.Validate(); err != nil {
 		panic(fmt.Sprintf("pbit: invalid model: %v", err))
 	}
-	m := &PackedMachine{model: model}
+	m := &PackedMachine{model: model, fused: true}
 	m.build(model.H, src, windows, m.sweepWindow, m.recomputeWindow)
 	// Every lane starts at −1 with the model's h, so all lanes' fields are
-	// equal: build one lane in recomputeWindow's order and copy it.
+	// equal: build one lane in recomputeWindow's order and copy it. The
+	// same walk checks J against fusedBound.
 	for i := 0; i < m.n; i++ {
 		f := model.H[i]
 		for _, w := range model.J.Row(i) {
-			if w != 0 {
-				f += w * -1
+			f += w * -1
+			if math.Abs(w) > fusedBound {
+				m.fused = false
 			}
 		}
 		m.setUniformField(i, f)
@@ -450,52 +462,66 @@ func (m *PackedMachine) Model() *ising.Model { return m.model }
 
 // recomputeWindow rebuilds one window's fields from scratch, replicating
 // the scalar LocalField accumulation order per lane: for each spin i,
-// start from h_i and add J_ij·m_j for j = 0…n−1.
+// start from h_i and add J_ij·m_j for j = 0…n−1. That is the sweep's pull
+// over the list of every spin and the ±1 blocks spinFloats writes; J·±1
+// is exact for any finite J, so the pull may always fuse.
 func (m *PackedMachine) recomputeWindow(win *window) {
-	w := win.w
+	n, w := m.n, win.w
 	win.spinFloats()
-	for i := 0; i < m.n; i++ {
-		acc := win.fields[i*w : (i+1)*w]
-		copy(acc, win.hb[i*w:(i+1)*w])
-		for j, wt := range m.model.J.Row(i) {
-			if wt == 0 {
-				continue // adds only ±0, which no lane's decisions can see
-			}
-			sf := win.noise[j*w : (j+1)*w]
-			for k := range acc {
-				acc[k] += wt * sf[k]
-			}
-		}
+	copy(win.fields, win.hb)
+	all := win.flips // idle outside a sweep
+	for j := range all {
+		all[j] = int32(j)
+	}
+	jdata := m.model.J.Data()
+	i := 0
+	for ; i+1 < n; i += 2 {
+		pullDensePair(jdata[i*n:i*n+n], jdata[i*n+n:i*n+2*n], all, win.noise, win.fields[i*w:i*w+2*w], true)
+	}
+	if i < n {
+		pullDense(jdata[i*n:i*n+n], all, win.noise, win.fields[i*w:i*w+w], true)
 	}
 }
 
-// sweepWindow runs one Monte-Carlo sweep of one window. Per spin i, in
-// visit order: pull the sweep's earlier flips into i's field block, turn
-// w wantSpin decisions into a mask word with one packed threshold pass
-// (saturation shortcut preserved per lane), XOR the flips into the state
-// word and, if any lane flipped, write δ_i over i's spent noise block and
-// list i. One flush after the last visit adds each spin's later flips, so
-// the fields are exact again when the sweep returns.
+// sweepWindow runs one Monte-Carlo sweep of one window, visiting the spins
+// in pairs (j, j+1), j even. Both blocks pull the sweep's flips before j
+// in one walk. Then, per spin in visit order: turn w wantSpin decisions
+// into a mask word with one packed threshold pass (saturation shortcut
+// preserved per lane), XOR the flips into the state word and, if any lane
+// flipped, write δ_i over i's spent noise block and list i; a flipped j
+// hands its flip to j+1's block, as the last term before j+1's pass. An
+// odd n leaves the last spin a one-block pull. One flush after the last
+// visit adds each spin's later flips, so the fields are exact again when
+// the sweep returns.
 //
 //saim:hotpath
 func (m *PackedMachine) sweepWindow(win *window, beta float64) {
-	w := win.w
+	w, n, fused := win.w, m.n, m.fused
 	win.fillNoise()
-	fields, noise, flips := win.fields, win.noise, win.flips
+	jdata, fields, noise, flips := m.model.J.Data(), win.fields, win.noise, win.flips
 	nf := 0
 	for i, s := range win.states {
 		base := i * w
 		field, nz := fields[base:base+w], noise[base:base+w]
-		pullDense(m.model.J.Row(i), flips[:nf], noise, field)
+		paired := i+1 < n && i&1 == 0
+		switch {
+		case paired:
+			pullDensePair(jdata[i*n:i*n+n], jdata[i*n+n:i*n+2*n], flips[:nf], noise, fields[base:base+2*w], fused)
+		case i&1 == 0: // an odd n's last spin; an odd i pulled with i−1
+			pullDense(jdata[i*n:i*n+n], flips[:nf], noise, field, fused)
+		}
 		want := packedWant(beta, field, nz)
 		if fl := want ^ s; fl != 0 {
 			win.states[i] = want
 			deltaBlock(fl, want, nz)
 			flips[nf] = int32(i)
 			nf++
+			if paired {
+				pullDense(jdata[i*n+n:i*n+2*n], flips[nf-1:nf], noise, fields[base+w:base+2*w], fused)
+			}
 		}
 	}
-	flushDense(m.model.J.Data(), flips[:nf], noise, fields, w)
+	flushDense(jdata, flips[:nf], noise, fields, w, fused)
 }
 
 // LaneFieldConsistencyError returns the worst drift between lane r's

@@ -7,10 +7,14 @@ import "github.com/ising-machines/saim/internal/cpufeat"
 // Vector bodies of the packed-sweep primitives: AVX2 (packed_amd64.s) and
 // AVX-512 (packed_avx512_amd64.s). Each one is the Go reference kernel
 // re-expressed 4 or 8 lanes per vector with the exact scalar operation
-// order — same Padé evaluation sequence, same separate multiply-then-add
-// rounding (never FMA), same per-lane accumulation order — so the
-// trajectories they produce are bit-identical to the portable path, at
-// every window width. The dispatchers read cpufeat.HasAVX512 and
+// order — same Padé evaluation sequence and separate multiply-then-add
+// rounding in packedWant (never FMA), same per-lane accumulation order —
+// so the trajectories they produce are bit-identical to the portable path,
+// at every window width. The AVX-512 dense pull and flush fuse each term
+// J·δ into its add, which rounds exactly as the separate multiply and add
+// whenever the product is exact: δ ∈ {+2, −2, 0} and |J| ≤ fusedBound, or
+// δ = ±1. Their dispatchers take that as the fused flag and otherwise run
+// the AVX2 bodies. The dispatchers read cpufeat.HasAVX512 and
 // cpufeat.HasAVX2 on every call; packed_test.go and dispatch_diff_test.go
 // force each tier and require identical results.
 
@@ -25,6 +29,9 @@ func pullDenseAVX2(row *float64, flips *int32, nf int, deltas *float64, field *f
 
 //go:noescape
 func pullDenseAVX512(row *float64, flips *int32, nf int, deltas *float64, field *float64, width int)
+
+//go:noescape
+func pullDensePairAVX512(row0 *float64, row1 *float64, flips *int32, nf int, deltas *float64, fields *float64, width int)
 
 //go:noescape
 func flushDenseAVX2(jdata *float64, n int, flips *int32, nf int, deltas *float64, fields *float64, width int)
@@ -56,11 +63,13 @@ func packedWant(beta float64, f, nz []float64) uint64 {
 
 // pullDense adds row[i]·δ_i into one spin's field block for each flipped
 // spin i of flips, in list order (δ_i = deltas[i·w : (i+1)·w], w =
-// len(field)). The list is increasing, so its last entry bounds every
-// index the vector kernels read.
+// len(field)). fused lets the AVX-512 tier fuse each multiply into its
+// add: the caller guarantees every product row[i]·δ_i[k] is exact. The
+// list is increasing, so its last entry bounds every index the vector
+// kernels read.
 //
 //saim:hotpath
-func pullDense(row []float64, flips []int32, deltas []float64, field []float64) {
+func pullDense(row []float64, flips []int32, deltas []float64, field []float64, fused bool) {
 	if len(flips) == 0 {
 		return
 	}
@@ -73,20 +82,51 @@ func pullDense(row []float64, flips []int32, deltas []float64, field []float64) 
 	_ = row[last]
 	_ = deltas[last*w+w-1]
 	rp, lp, dp, fp := &row[0], &flips[0], &deltas[0], &field[0]
-	if cpufeat.HasAVX512 {
+	if cpufeat.HasAVX512 && fused {
 		pullDenseAVX512(rp, lp, len(flips), dp, fp, w)
 		return
 	}
 	pullDenseAVX2(rp, lp, len(flips), dp, fp, w)
 }
 
-// flushDense is one sweep's closing pass: each spin j below the last flip
-// pulls the flips of its J row that came after it. jdata is J row-major,
-// n = len(fields)/width rows of n; the increasing list's last entry
-// bounds the rows, columns and blocks the vector kernels read.
+// pullDensePair is pullDense for two adjacent spins at once: fields holds
+// their two blocks of w = len(fields)/2 lanes, and the first takes row0's
+// terms, the second row1's. The AVX-512 tier walks the list once for both,
+// loading each δ block once.
 //
 //saim:hotpath
-func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float64, width int) {
+func pullDensePair(row0, row1 []float64, flips []int32, deltas []float64, fields []float64, fused bool) {
+	if len(flips) == 0 {
+		return
+	}
+	w := len(fields) / 2
+	if !cpufeat.HasAVX2 {
+		pullDenseGo(row0, flips, deltas, fields[:w])
+		pullDenseGo(row1, flips, deltas, fields[w:])
+		return
+	}
+	last := int(flips[len(flips)-1])
+	_ = row0[last]
+	_ = row1[last]
+	_ = deltas[last*w+w-1]
+	_ = fields[2*w-1]
+	lp, dp := &flips[0], &deltas[0]
+	if cpufeat.HasAVX512 && fused {
+		pullDensePairAVX512(&row0[0], &row1[0], lp, len(flips), dp, &fields[0], w)
+		return
+	}
+	pullDenseAVX2(&row0[0], lp, len(flips), dp, &fields[0], w)
+	pullDenseAVX2(&row1[0], lp, len(flips), dp, &fields[w], w)
+}
+
+// flushDense is one sweep's closing pass: each spin j below the last flip
+// pulls the flips of its J row that came after it (the AVX-512 tier two
+// spins at a time). jdata is J row-major, n = len(fields)/width rows of n;
+// fused is pullDense's. The increasing list's last entry bounds the rows,
+// columns and blocks the vector kernels read.
+//
+//saim:hotpath
+func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float64, width int, fused bool) {
 	if !cpufeat.HasAVX2 {
 		flushDenseGo(jdata, flips, deltas, fields, width)
 		return
@@ -97,10 +137,10 @@ func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float
 	n := len(fields) / width
 	last := int(flips[len(flips)-1])
 	_ = jdata[(last-1)*n+last]
-	_ = fields[last*width-1]
+	_ = fields[last*width+width-1]
 	_ = deltas[last*width+width-1]
 	jp, lp, dp, fp := &jdata[0], &flips[0], &deltas[0], &fields[0]
-	if cpufeat.HasAVX512 {
+	if cpufeat.HasAVX512 && fused {
 		flushDenseAVX512(jp, n, lp, len(flips), dp, fp, width)
 		return
 	}

@@ -1,8 +1,11 @@
 // AVX-512 packed-sweep kernels: the AVX2 kernels of packed_amd64.s with
 // one zmm per octet of lanes (a window of width lanes is width/8 zmm). They
-// use AVX512F and AVX512DQ only, keep the same floating-point operation
-// order (separate multiply and add, never FMA; the Padé nesting order and
-// VDIVPD), end in VZEROUPPER and leave BP alone.
+// use AVX512F and AVX512DQ only, end in VZEROUPPER and leave BP alone.
+// packedWantAVX512 keeps the scalar floating-point operations exactly
+// (separate multiply and add, never FMA; the Padé nesting order and
+// VDIVPD). The dense pull and flush fuse each term's multiply and add,
+// which is exact for the operands they are given (see below), and the
+// pair kernels take two adjacent spins per list walk.
 
 #include "textflag.h"
 
@@ -130,85 +133,208 @@ padenext:
 	VZEROUPPER
 	RET
 
-// Dense pull and flush, as pullDenseAVX2 and flushDenseAVX2 but with one
-// zmm accumulator per octet: every window width fits in registers at once
-// (width 64 is Z0-Z7), so each takes a single pass over the list. Z8 holds
-// the broadcast J[j][i]; the products go through Z16-Z23.
+// Dense pull and flush: pullDenseAVX2 and flushDenseAVX2 with one zmm
+// accumulator per octet, so every window width stays in registers for the
+// whole list walk (width 64 is Z0-Z7), and one fused multiply-add per
+// octet and term. Fusing is exact here: the dispatchers call these only
+// with δ lanes in {+2, −2, 0} and every |J_ij| ≤ MaxFloat64/2, or with ±1
+// blocks, so each product J·δ is exact and round(f + J·δ) is pullDenseGo's
+// separately rounded multiply and add; an exact zero product takes the
+// same sign rules either way.
+//
+// The pair kernels update spins j and j+1 in one walk: j's block in
+// Z0-Z7, j+1's in Z8-Z15, each δ octet loaded once into Z16-Z23 and fed to
+// both rows. Z24 holds the broadcast J[j][i], Z25 J[j+1][i].
+//
+// Registers shared by the macros: SI = J row j, R13 = J row j+1, R10
+// walks the list up to R11, its end; R12 = block stride in bytes, DX =
+// deltas, DI = spin j's field block (j+1's at DI+R12); AX holds i and then
+// δ_i's address.
 
-#define ZSTEP(off, acc, tmp) VMULPD off(AX), Z8, tmp; VADDPD tmp, acc, acc
-#define ZSTEP1 ZSTEP(0, Z0, Z16)
-#define ZSTEP2 ZSTEP1; ZSTEP(64, Z1, Z17)
-#define ZSTEP3 ZSTEP2; ZSTEP(128, Z2, Z18)
-#define ZSTEP4 ZSTEP3; ZSTEP(192, Z3, Z19)
-#define ZSTEP8 ZSTEP4; ZSTEP(256, Z4, Z20); ZSTEP(320, Z5, Z21); ZSTEP(384, Z6, Z22); ZSTEP(448, Z7, Z23)
+// One row: acc += J[j][i]·δ_i, δ_i's octet read from memory.
+#define ROW(off, acc) VFMADD231PD off(AX), Z24, acc
+#define ROW1 ROW(0, Z0)
+#define ROW2 ROW1; ROW(64, Z1)
+#define ROW3 ROW2; ROW(128, Z2)
+#define ROW4 ROW3; ROW(192, Z3)
+#define ROW8 ROW4; ROW(256, Z4); ROW(320, Z5); ROW(384, Z6); ROW(448, Z7)
 
-#define ZLOAD1 VMOVUPD (DI), Z0
-#define ZLOAD2 ZLOAD1; VMOVUPD 64(DI), Z1
-#define ZLOAD3 ZLOAD2; VMOVUPD 128(DI), Z2
-#define ZLOAD4 ZLOAD3; VMOVUPD 192(DI), Z3
-#define ZLOAD8 ZLOAD4; VMOVUPD 256(DI), Z4; VMOVUPD 320(DI), Z5; VMOVUPD 384(DI), Z6; VMOVUPD 448(DI), Z7
+// Two rows: δ_i's octet loaded once, then j's term and j+1's.
+#define PAIR(off, d, a, b) VMOVUPD off(AX), d; VFMADD231PD d, Z24, a; VFMADD231PD d, Z25, b
+#define PAIR1 PAIR(0, Z16, Z0, Z8)
+#define PAIR2 PAIR1; PAIR(64, Z17, Z1, Z9)
+#define PAIR3 PAIR2; PAIR(128, Z18, Z2, Z10)
+#define PAIR4 PAIR3; PAIR(192, Z19, Z3, Z11)
+#define PAIR8 PAIR4; PAIR(256, Z20, Z4, Z12); PAIR(320, Z21, Z5, Z13); PAIR(384, Z22, Z6, Z14); PAIR(448, Z23, Z7, Z15)
 
-#define ZSTORE1 VMOVUPD Z0, (DI)
-#define ZSTORE2 ZSTORE1; VMOVUPD Z1, 64(DI)
-#define ZSTORE3 ZSTORE2; VMOVUPD Z2, 128(DI)
-#define ZSTORE4 ZSTORE3; VMOVUPD Z3, 192(DI)
-#define ZSTORE8 ZSTORE4; VMOVUPD Z4, 256(DI); VMOVUPD Z5, 320(DI); VMOVUPD Z6, 384(DI); VMOVUPD Z7, 448(DI)
+#define LOAD1 VMOVUPD (DI), Z0
+#define LOAD2 LOAD1; VMOVUPD 64(DI), Z1
+#define LOAD3 LOAD2; VMOVUPD 128(DI), Z2
+#define LOAD4 LOAD3; VMOVUPD 192(DI), Z3
+#define LOAD8 LOAD4; VMOVUPD 256(DI), Z4; VMOVUPD 320(DI), Z5; VMOVUPD 384(DI), Z6; VMOVUPD 448(DI), Z7
 
-// ZPASS loads spin j's block, applies the list from R9 to R11 (at least
-// one entry), and stores it back. Registers as in packed_amd64.s.
-#define ZPASS(load, steps, store, loop) \
-	load                        \
-	MOVQ         R9, R10        \
-loop:                               \
-	MOVLQSX      (R10), AX      \
-	VBROADCASTSD (SI)(AX*8), Z8 \
-	IMULQ        R12, AX        \
-	ADDQ         DX, AX         \
-	steps                       \
-	ADDQ         $4, R10        \
-	CMPQ         R10, R11       \
-	JNE          loop           \
-	store
+#define STORE1 VMOVUPD Z0, (DI)
+#define STORE2 STORE1; VMOVUPD Z1, 64(DI)
+#define STORE3 STORE2; VMOVUPD Z2, 128(DI)
+#define STORE4 STORE3; VMOVUPD Z3, 192(DI)
+#define STORE8 STORE4; VMOVUPD Z4, 256(DI); VMOVUPD Z5, 320(DI); VMOVUPD Z6, 384(DI); VMOVUPD Z7, 448(DI)
+
+// Spin j+1's block, at DI+R12.
+#define LOADB1 VMOVUPD (DI)(R12*1), Z8
+#define LOADB2 LOADB1; VMOVUPD 64(DI)(R12*1), Z9
+#define LOADB3 LOADB2; VMOVUPD 128(DI)(R12*1), Z10
+#define LOADB4 LOADB3; VMOVUPD 192(DI)(R12*1), Z11
+#define LOADB8 LOADB4; VMOVUPD 256(DI)(R12*1), Z12; VMOVUPD 320(DI)(R12*1), Z13; VMOVUPD 384(DI)(R12*1), Z14; VMOVUPD 448(DI)(R12*1), Z15
+
+#define STOREB1 VMOVUPD Z8, (DI)(R12*1)
+#define STOREB2 STOREB1; VMOVUPD Z9, 64(DI)(R12*1)
+#define STOREB3 STOREB2; VMOVUPD Z10, 128(DI)(R12*1)
+#define STOREB4 STOREB3; VMOVUPD Z11, 192(DI)(R12*1)
+#define STOREB8 STOREB4; VMOVUPD Z12, 256(DI)(R12*1); VMOVUPD Z13, 320(DI)(R12*1); VMOVUPD Z14, 384(DI)(R12*1); VMOVUPD Z15, 448(DI)(R12*1)
+
+// Both blocks of a pair.
+#define LOADP1 LOAD1; LOADB1
+#define LOADP2 LOAD2; LOADB2
+#define LOADP3 LOAD3; LOADB3
+#define LOADP4 LOAD4; LOADB4
+#define LOADP8 LOAD8; LOADB8
+
+#define STOREP1 STORE1; STOREB1
+#define STOREP2 STORE2; STOREB2
+#define STOREP3 STORE3; STOREB3
+#define STOREP4 STORE4; STOREB4
+#define STOREP8 STORE8; STOREB8
+
+// WALK1 applies the list from R10 to R11 (at least one entry) to row j,
+// WALK2 to rows j and j+1.
+#define WALK1(steps, loop) \
+loop:                                \
+	MOVLQSX      (R10), AX       \
+	VBROADCASTSD (SI)(AX*8), Z24  \
+	IMULQ        R12, AX         \
+	ADDQ         DX, AX          \
+	steps                        \
+	ADDQ         $4, R10         \
+	CMPQ         R10, R11        \
+	JNE          loop
+
+#define WALK2(steps, loop) \
+loop:                                \
+	MOVLQSX      (R10), AX       \
+	VBROADCASTSD (SI)(AX*8), Z24  \
+	VBROADCASTSD (R13)(AX*8), Z25 \
+	IMULQ        R12, AX         \
+	ADDQ         DX, AX          \
+	steps                        \
+	ADDQ         $4, R10         \
+	CMPQ         R10, R11        \
+	JNE          loop
+
+// WIDTH jumps to the body for the window width in R12 (bytes); width 64
+// falls through.
+#define WIDTH \
+	CMPQ R12, $64  \
+	JEQ  w8        \
+	CMPQ R12, $128 \
+	JEQ  w16       \
+	CMPQ R12, $192 \
+	JEQ  w24       \
+	CMPQ R12, $256 \
+	JEQ  w32
 
 // func pullDenseAVX512(row *float64, flips *int32, nf int, deltas *float64, field *float64, width int)
+//
+// One spin's pull: field[k] += row[i]·δ_i[k] for each listed i (nf ≥ 1).
 TEXT ·pullDenseAVX512(SB), NOSPLIT, $0-48
 	MOVQ row+0(FP), SI
-	MOVQ flips+8(FP), R9
+	MOVQ flips+8(FP), R10
 	MOVQ nf+16(FP), R11
 	MOVQ deltas+24(FP), DX
 	MOVQ field+32(FP), DI
 	MOVQ width+40(FP), R12
-	SHLQ $3, R12          // block stride: width lanes · 8 bytes
-	LEAQ (R9)(R11*4), R11 // list end
-	CMPQ R12, $64
-	JEQ  w8
-	CMPQ R12, $128
-	JEQ  w16
-	CMPQ R12, $192
-	JEQ  w24
-	CMPQ R12, $256
-	JEQ  w32
-	ZPASS(ZLOAD8, ZSTEP8, ZSTORE8, w64loop)
+	SHLQ $3, R12            // block stride: width lanes · 8 bytes
+	LEAQ (R10)(R11*4), R11  // list end
+	WIDTH
+	LOAD8
+	WALK1(ROW8, w64loop)
+	STORE8
 	VZEROUPPER
 	RET
 
 w32:
-	ZPASS(ZLOAD4, ZSTEP4, ZSTORE4, w32loop)
+	LOAD4
+	WALK1(ROW4, w32loop)
+	STORE4
 	VZEROUPPER
 	RET
 
 w24:
-	ZPASS(ZLOAD3, ZSTEP3, ZSTORE3, w24loop)
+	LOAD3
+	WALK1(ROW3, w24loop)
+	STORE3
 	VZEROUPPER
 	RET
 
 w16:
-	ZPASS(ZLOAD2, ZSTEP2, ZSTORE2, w16loop)
+	LOAD2
+	WALK1(ROW2, w16loop)
+	STORE2
 	VZEROUPPER
 	RET
 
 w8:
-	ZPASS(ZLOAD1, ZSTEP1, ZSTORE1, w8loop)
+	LOAD1
+	WALK1(ROW1, w8loop)
+	STORE1
+	VZEROUPPER
+	RET
+
+// func pullDensePairAVX512(row0 *float64, row1 *float64, flips *int32, nf int, deltas *float64, fields *float64, width int)
+//
+// Two adjacent spins' pull: fields holds both blocks, and each takes its
+// row's terms for every listed i (nf ≥ 1), in list order.
+TEXT ·pullDensePairAVX512(SB), NOSPLIT, $0-56
+	MOVQ row0+0(FP), SI
+	MOVQ row1+8(FP), R13
+	MOVQ flips+16(FP), R10
+	MOVQ nf+24(FP), R11
+	MOVQ deltas+32(FP), DX
+	MOVQ fields+40(FP), DI
+	MOVQ width+48(FP), R12
+	SHLQ $3, R12
+	LEAQ (R10)(R11*4), R11
+	WIDTH
+	LOADP8
+	WALK2(PAIR8, w64loop)
+	STOREP8
+	VZEROUPPER
+	RET
+
+w32:
+	LOADP4
+	WALK2(PAIR4, w32loop)
+	STOREP4
+	VZEROUPPER
+	RET
+
+w24:
+	LOADP3
+	WALK2(PAIR3, w24loop)
+	STOREP3
+	VZEROUPPER
+	RET
+
+w16:
+	LOADP2
+	WALK2(PAIR2, w16loop)
+	STOREP2
+	VZEROUPPER
+	RET
+
+w8:
+	LOADP1
+	WALK2(PAIR1, w8loop)
+	STOREP1
 	VZEROUPPER
 	RET
 
@@ -225,14 +351,42 @@ skip:                       \
 	JMP     skip        \
 body:
 
-// ZSPIN moves on to spin j+1: its J row and its field block.
-#define ZSPIN(skip) \
-	INCQ BX      \
-	ADDQ R8, SI  \
-	ADDQ R12, DI \
+// ZPAIR flushes spins j and j+1 from R9, the first list entry past j:
+// j's block takes flip j+1 alone if it is listed, then both blocks take
+// the rest of the list. Some listed spin exceeds j, so j+1 < n.
+#define ZPAIR(load, one, steps, store, tail, loop, stored) \
+	load                         \
+	MOVQ         R9, R10         \
+	LEAQ         1(BX), CX       \
+	MOVLQSX      (R10), AX       \
+	CMPQ         AX, CX          \
+	JNE          tail            \
+	VBROADCASTSD (SI)(AX*8), Z24 \
+	IMULQ        R12, AX         \
+	ADDQ         DX, AX          \
+	one                          \
+	ADDQ         $4, R10         \
+	CMPQ         R10, R11        \
+	JEQ          stored          \
+tail:                                \
+	LEAQ         (SI)(R8*1), R13 \
+	WALK2(steps, loop)           \
+stored:                              \
+	store
+
+// ZSPIN2 moves on to spin j+2: its J row and its field block.
+#define ZSPIN2(skip) \
+	ADDQ $2, BX          \
+	LEAQ (SI)(R8*2), SI  \
+	LEAQ (DI)(R12*2), DI \
 	JMP  skip
 
 // func flushDenseAVX512(jdata *float64, n int, flips *int32, nf int, deltas *float64, fields *float64, width int)
+//
+// One sweep's flush, two spins at a time: for j = 0, 2, 4, … while some
+// listed i exceeds j, spin j's block takes J[j][j+1]·δ_{j+1} if j+1 is
+// listed, then spins j and j+1 take their terms of each listed i > j+1,
+// in list order.
 TEXT ·flushDenseAVX512(SB), NOSPLIT, $0-56
 	MOVQ jdata+0(FP), SI
 	MOVQ n+8(FP), R8
@@ -245,38 +399,31 @@ TEXT ·flushDenseAVX512(SB), NOSPLIT, $0-56
 	SHLQ $3, R12          // block stride: width lanes · 8 bytes
 	LEAQ (R9)(R11*4), R11 // list end
 	XORQ BX, BX           // j
-	CMPQ R12, $64
-	JEQ  w8
-	CMPQ R12, $128
-	JEQ  w16
-	CMPQ R12, $192
-	JEQ  w24
-	CMPQ R12, $256
-	JEQ  w32
+	WIDTH
 
 	ZNEXT(w64skip, w64body)
-	ZPASS(ZLOAD8, ZSTEP8, ZSTORE8, w64loop)
-	ZSPIN(w64skip)
+	ZPAIR(LOADP8, ROW8, PAIR8, STOREP8, w64tail, w64loop, w64stored)
+	ZSPIN2(w64skip)
 
 w32:
 	ZNEXT(w32skip, w32body)
-	ZPASS(ZLOAD4, ZSTEP4, ZSTORE4, w32loop)
-	ZSPIN(w32skip)
+	ZPAIR(LOADP4, ROW4, PAIR4, STOREP4, w32tail, w32loop, w32stored)
+	ZSPIN2(w32skip)
 
 w24:
 	ZNEXT(w24skip, w24body)
-	ZPASS(ZLOAD3, ZSTEP3, ZSTORE3, w24loop)
-	ZSPIN(w24skip)
+	ZPAIR(LOADP3, ROW3, PAIR3, STOREP3, w24tail, w24loop, w24stored)
+	ZSPIN2(w24skip)
 
 w16:
 	ZNEXT(w16skip, w16body)
-	ZPASS(ZLOAD2, ZSTEP2, ZSTORE2, w16loop)
-	ZSPIN(w16skip)
+	ZPAIR(LOADP2, ROW2, PAIR2, STOREP2, w16tail, w16loop, w16stored)
+	ZSPIN2(w16skip)
 
 w8:
 	ZNEXT(w8skip, w8body)
-	ZPASS(ZLOAD1, ZSTEP1, ZSTORE1, w8loop)
-	ZSPIN(w8skip)
+	ZPAIR(LOADP1, ROW1, PAIR1, STOREP1, w8tail, w8loop, w8stored)
+	ZSPIN2(w8skip)
 
 done:
 	VZEROUPPER

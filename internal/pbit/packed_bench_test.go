@@ -1,6 +1,8 @@
 package pbit
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/cpufeat"
@@ -106,6 +108,47 @@ func BenchmarkPackedSweepDense(b *testing.B) {
 		b.Run("windows=1", sweep(160, 1))
 		b.Run("windows=2", sweep(160, 2))
 	})
+}
+
+// BenchmarkPackedPullFlush times the dense pull and flush kernels alone,
+// under the widest tier the CPU has, at qkp-dense's layout: n = 160 spins
+// with 28 of them listed as flipped, one window of w = 32 or 64 lanes. One
+// op is a sweep's kernel calls — each spin pair's pull of the flips before
+// it, the hand-off of a listed j to j+1, one flush — in which each row
+// takes every listed flip but its own; ns/row-entry is the time per such
+// term.
+func BenchmarkPackedPullFlush(b *testing.B) {
+	const n, listed = 160, 28
+	for _, w := range []int{32, 64} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			src := rng.New(11)
+			jdata := randomModel(src, n).J.Data()
+			deltas := randomDeltas(src, n*w)
+			fields := randomFloats(src, n*w, 1)
+			flips := make([]int32, listed)
+			for k, i := range src.Perm(n)[:listed] {
+				flips[k] = int32(i)
+			}
+			slices.Sort(flips)
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				nf := 0
+				for j := 0; j+1 < n; j += 2 {
+					row1 := jdata[j*n+n : j*n+2*n]
+					pullDensePair(jdata[j*n:j*n+n], row1, flips[:nf], deltas, fields[j*w:j*w+2*w], true)
+					if nf < listed && int(flips[nf]) == j {
+						nf++
+						pullDense(row1, flips[nf-1:nf], deltas, fields[j*w+w:j*w+2*w], true)
+					}
+					if nf < listed && int(flips[nf]) == j+1 {
+						nf++
+					}
+				}
+				flushDense(jdata, flips, deltas, fields, w, true)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*listed-listed), "ns/row-entry")
+		})
+	}
 }
 
 func BenchmarkPackedSweepDenseScalarPool64(b *testing.B) {

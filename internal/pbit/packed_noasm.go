@@ -10,12 +10,19 @@ func packedWant(beta float64, f, nz []float64) uint64 {
 }
 
 //saim:hotpath
-func pullDense(row []float64, flips []int32, deltas []float64, field []float64) {
+func pullDense(row []float64, flips []int32, deltas []float64, field []float64, fused bool) {
 	pullDenseGo(row, flips, deltas, field)
 }
 
 //saim:hotpath
-func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float64, width int) {
+func pullDensePair(row0, row1 []float64, flips []int32, deltas []float64, fields []float64, fused bool) {
+	w := len(fields) / 2
+	pullDenseGo(row0, flips, deltas, fields[:w])
+	pullDenseGo(row1, flips, deltas, fields[w:])
+}
+
+//saim:hotpath
+func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float64, width int, fused bool) {
 	flushDenseGo(jdata, flips, deltas, fields, width)
 }
 

@@ -298,6 +298,90 @@ func TestPackedConstructorFieldsMatchRecompute(t *testing.T) {
 	}
 }
 
+// boundModel is a 9-spin model with small random couplings plus two
+// frustrated triangles, {0, 1, 5} and {3, 6, 8}, coupled at −big. A
+// triangle spin whose partners disagree sees a small field and flips
+// often, and every flip reaches its partners through a dense path: the
+// hand-off (0 to 1), the pair pull (5 pulls 0 and 1 with 4), the odd last
+// spin's one-block pull (8 pulls 3 and 6), and the flush, by pairs (0
+// takes 1 alone, then 5; 3 and 6 take 8). |J| sums stay within
+// 2·big, which fits while big ≤ fusedBound.
+func boundModel(big float64) *ising.Model {
+	src := rng.New(47)
+	q := ising.NewQUBO(9)
+	for i := 0; i < 9; i++ {
+		q.AddLinear(i, src.Sym())
+		for j := i + 1; j < 9; j++ {
+			q.AddQuad(i, j, src.Sym())
+		}
+	}
+	m := q.ToIsing()
+	for _, tri := range [][3]int{{0, 1, 5}, {3, 6, 8}} {
+		m.J.Set(tri[0], tri[1], -big)
+		m.J.Set(tri[0], tri[2], -big)
+		m.J.Set(tri[1], tri[2], -big)
+	}
+	return m
+}
+
+// The AVX-512 pull and flush fuse J·δ into the add, which is exact only
+// while every |J_ij| ≤ fusedBound. A coupling at the bound keeps the fused
+// path; one ulp above it, 2J overflows — the scalar machine's field turns
+// ±Inf where a fused one would stay finite — and the machine must take
+// the multiply-then-add bodies. Either way every lane must follow its
+// scalar twin, fields included (±0 equal, NaN equal to NaN), under every
+// tier at every window count.
+func TestPackedFusedBoundMatchesScalar(t *testing.T) {
+	same := func(a, b float64) bool { return a == b || a != a && b != b }
+	for _, c := range []struct {
+		name  string
+		big   float64
+		fused bool
+	}{
+		{"at bound", fusedBound, true},
+		{"above bound", math.Nextafter(fusedBound, math.Inf(1)), false},
+	} {
+		model := boundModel(c.big)
+		check := func(t *testing.T, tier string) {
+			withTier(tier, func() {
+				for _, k := range windowCounts {
+					pm := NewPackedWindows(model, rng.New(919), k)
+					if pm.fused != c.fused {
+						t.Fatalf("%d windows: fused = %v, want %v", k, pm.fused, c.fused)
+					}
+					base := rng.New(919)
+					fleet := make([]*Machine, Lanes)
+					for r := range fleet {
+						fleet[r] = New(model, base.Split())
+						fleet[r].Randomize()
+					}
+					pm.Randomize()
+					got := ising.NewSpins(9)
+					for step, beta := range []float64{0.05, 0.3, 1, 3} {
+						pm.Sweep(beta)
+						for r, m := range fleet {
+							m.Sweep(beta)
+							pm.LaneStateInto(got, r)
+							for i, s := range m.State() {
+								if got[i] != s {
+									t.Fatalf("%d windows, sweep %d: lane %d spin %d: packed %d scalar %d", k, step, r, i, got[i], s)
+								}
+								if pf, sf := pm.laneField(i, r), m.field[i]; !same(pf, sf) {
+									t.Fatalf("%d windows, sweep %d: lane %d spin %d: packed field %v scalar %v", k, step, r, i, pf, sf)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+		t.Run(c.name, func(t *testing.T) {
+			vectorTiers(t, check)
+			t.Run("portable", func(t *testing.T) { check(t, "portable") })
+		})
+	}
+}
+
 // Windows split the 64 lanes into octet-aligned runs as even as octets
 // allow, in lane order, and the window count is clamped to [1, 8].
 func TestPackedWindowLayout(t *testing.T) {
