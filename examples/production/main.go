@@ -42,11 +42,11 @@ func main() {
 
 	m := model.New()
 	run := m.Binary("run", len(names))
-	obj := model.Dot(margin, run)
+	terms := []model.Expr{model.Dot(margin, run)}
 	for _, s := range synergies {
-		obj = obj.Add(run[s.a].Times(run[s.b]).Mul(s.bonus))
+		terms = append(terms, run[s.a].Times(run[s.b]).Mul(s.bonus))
 	}
-	m.Maximize(obj)
+	m.Maximize(model.Sum(terms...))
 	m.Constrain("hours", model.Dot(hours, run).LE(hourBudget))
 	m.Constrain("lines", run.Sum().EQ(linesToStaff))
 

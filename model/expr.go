@@ -1,9 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Expr is an algebraic expression over the binary variables of one Model:
@@ -166,7 +167,10 @@ func (vs Vars) Sum() Expr {
 	return out
 }
 
-// Add returns e + o.
+// Add returns e + o. Each call copies both operands' terms into a fresh
+// expression, so folding k terms with Add (e = e.Add(t) in a loop) costs
+// O(k²) time and memory; combine many terms with Sum (or Dot, Vars.Sum),
+// which concatenates once.
 func (e Expr) Add(o Expr) Expr {
 	out := Expr{
 		m:    mergeModels(e.m, o.m),
@@ -263,35 +267,48 @@ func (e Expr) degree() int {
 // canonical merges duplicate monomials and returns the expression's terms
 // in the deterministic order Compile emits: linear terms by variable id,
 // quadratic terms by (i, j), higher-order terms in insertion order.
+//
+// Each term list is copied, sorted stably by monomial, and merged in one
+// pass over equal neighbours. Stability keeps a monomial's occurrences in
+// insertion order, so its merged weight is the same sum, from zero and in
+// the same order, that accumulating into a map would give: bit for bit,
+// in O(t log t) and with no hashing. Monomials whose weights sum to zero
+// (of either sign) are dropped.
 func (e Expr) canonical() (lin []linTerm, quad []quadTerm, poly []polyTerm) {
-	lm := make(map[int]float64, len(e.lin))
-	for _, t := range e.lin {
-		lm[t.v] += t.w
-	}
-	lin = make([]linTerm, 0, len(lm))
-	for v, w := range lm {
-		if w != 0 {
-			lin = append(lin, linTerm{v: v, w: w})
+	lin = slices.Clone(e.lin)
+	slices.SortStableFunc(lin, func(a, b linTerm) int { return cmp.Compare(a.v, b.v) })
+	k := 0
+	for s := 0; s < len(lin); {
+		t := linTerm{v: lin[s].v}
+		for ; s < len(lin) && lin[s].v == t.v; s++ {
+			t.w += lin[s].w
+		}
+		if t.w != 0 {
+			lin[k] = t
+			k++
 		}
 	}
-	sort.Slice(lin, func(a, b int) bool { return lin[a].v < lin[b].v })
+	lin = lin[:k]
 
-	qm := make(map[[2]int]float64, len(e.quad))
-	for _, t := range e.quad {
-		qm[[2]int{t.i, t.j}] += t.w
-	}
-	quad = make([]quadTerm, 0, len(qm))
-	for k, w := range qm {
-		if w != 0 {
-			quad = append(quad, quadTerm{i: k[0], j: k[1], w: w})
+	quad = slices.Clone(e.quad)
+	slices.SortStableFunc(quad, func(a, b quadTerm) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
 		}
-	}
-	sort.Slice(quad, func(a, b int) bool {
-		if quad[a].i != quad[b].i {
-			return quad[a].i < quad[b].i
-		}
-		return quad[a].j < quad[b].j
+		return cmp.Compare(a.j, b.j)
 	})
+	k = 0
+	for s := 0; s < len(quad); {
+		t := quadTerm{i: quad[s].i, j: quad[s].j}
+		for ; s < len(quad) && quad[s].i == t.i && quad[s].j == t.j; s++ {
+			t.w += quad[s].w
+		}
+		if t.w != 0 {
+			quad[k] = t
+			k++
+		}
+	}
+	quad = quad[:k]
 
 	for _, t := range e.poly {
 		if t.w != 0 {

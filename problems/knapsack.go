@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"slices"
 
 	saim "github.com/ising-machines/saim"
 	"github.com/ising-machines/saim/model"
@@ -91,17 +92,28 @@ func Knapsack(spec KnapsackSpec) (*KnapsackProblem, error) {
 	n := len(spec.Values)
 	m := model.New()
 	x := m.Binary("take", n)
-	obj := model.Dot(spec.Values, x)
+	terms := []model.Expr{model.Dot(spec.Values, x)}
 	if spec.PairValues != nil {
+		// The pair terms outnumber the rest; sizing the slice first spares
+		// append's repeated regrowth copies of them.
+		pairs := 0
+		for i, row := range spec.PairValues {
+			for _, v := range row[i+1:] {
+				if v != 0 {
+					pairs++
+				}
+			}
+		}
+		terms = slices.Grow(terms, pairs)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if v := spec.PairValues[i][j]; v != 0 {
-					obj = obj.Add(x[i].Times(x[j]).Mul(v))
+					terms = append(terms, x[i].Times(x[j]).Mul(v))
 				}
 			}
 		}
 	}
-	m.Maximize(obj)
+	m.Maximize(model.Sum(terms...))
 	for i, row := range spec.Weights {
 		name := "capacity"
 		if len(spec.Weights) > 1 {

@@ -68,11 +68,11 @@ func ShiftScheduling(spec ShiftSpec) (*ShiftProblem, error) {
 	m.Minimize(model.Dot(spec.Rates, x))
 	m.Constrain("crew", x.Sum().EQ(float64(spec.CrewSize)))
 	if len(spec.CertifiedPairs) > 0 {
-		pairs := model.Const(0)
-		for _, p := range spec.CertifiedPairs {
-			pairs = pairs.Add(x[p[0]].Times(x[p[1]]))
+		pairs := make([]model.Expr, len(spec.CertifiedPairs))
+		for k, p := range spec.CertifiedPairs {
+			pairs[k] = x[p[0]].Times(x[p[1]])
 		}
-		m.Constrain("certified", pairs.EQ(float64(spec.RequiredPairs)))
+		m.Constrain("certified", model.Sum(pairs...).EQ(float64(spec.RequiredPairs)))
 	}
 	return &ShiftProblem{Model: m, spec: spec, x: x}, nil
 }
