@@ -28,44 +28,27 @@ type pinCase struct {
 	ties bool
 }
 
-// pinCases enumerates the pinned solves: the penalty backend on every
-// constrained testkit instance, the saim backend on every unconstrained
-// one, each under plain, target, patience and warm-start budgets, plus
-// serve-cluster-shaped max-cut jobs (N=200, average degree 3, 6 runs of
-// 150 sweeps).
+// pinCases enumerates the pinned solves: the penalty and saim backends on
+// every constrained testkit instance (saim with its default η > 0), the
+// saim backend on every unconstrained one, each under plain, target,
+// warm-start and (constrained) patience budgets, serve-cluster-shaped
+// max-cut jobs (N=200, average degree 3, 6 runs of 150 sweeps), and one
+// 70-replica saim solve: a packed 64-lane group plus six one-lane tasks.
 func pinCases(t *testing.T) []pinCase {
-	var cases []pinCase
+	var cases, constrained []pinCase
+	var replicated *saim.Model
 	for _, suite := range []uint64{1, 2, 3} {
 		for _, inst := range testkit.Suite(suite) {
 			m := compiled(t, inst.Model)
-			solver := "penalty"
 			switch m.Form() {
 			case saim.FormUnconstrained:
-				solver = "saim"
-			case saim.FormHighOrder:
-				continue
-			}
-			opt, _, _ := testkit.BruteForce(m)
-			budget := func(seed uint64, extra ...saim.Option) []saim.Option {
-				return append([]saim.Option{saim.WithSeed(seed), saim.WithIterations(80), saim.WithSweepsPerRun(150)}, extra...)
-			}
-			add := func(variant string, opts []saim.Option) {
-				cases = append(cases, pinCase{
-					name:   inst.Name + "/" + variant,
-					solver: solver,
-					model:  m,
-					opts:   opts,
-					ties:   solver == "saim",
-				})
-			}
-			add("seed7", budget(7))
-			add("seed8", budget(8))
-			// Integer data: a half-unit margin keeps the target clear of
-			// the rounding of any one cost.
-			add("target", budget(9, saim.WithTargetCost(opt+0.5)))
-			add("warm", budget(10, saim.WithInitial(make([]int, m.N()))))
-			if solver == "penalty" {
-				add("patience", budget(11, saim.WithPatience(6)))
+				cases = append(cases, budgetCases(inst.Name+"/", "saim", m)...)
+			case saim.FormConstrained:
+				cases = append(cases, budgetCases(inst.Name+"/", "penalty", m)...)
+				constrained = append(constrained, budgetCases(inst.Name+"/saim-", "saim", m)...)
+				if inst.Name == "knap-12-1" {
+					replicated = m
+				}
 			}
 		}
 	}
@@ -85,6 +68,45 @@ func pinCases(t *testing.T) []pinCase {
 				ties: true,
 			})
 		}
+	}
+	cases = append(cases, constrained...)
+	return append(cases, pinCase{
+		name:   "knap-12-1/saim-replicas70",
+		solver: "saim",
+		model:  replicated,
+		opts:   budget(12, saim.WithReplicas(70)),
+	})
+}
+
+// budget is the pinned run budget: 80 runs of 150 sweeps from the seed.
+func budget(seed uint64, extra ...saim.Option) []saim.Option {
+	return append([]saim.Option{saim.WithSeed(seed), saim.WithIterations(80), saim.WithSweepsPerRun(150)}, extra...)
+}
+
+// budgetCases pins one solver on one testkit model under two plain seeds,
+// a target, a warm start and, for constrained models, a patience stop.
+// Unconstrained saim results may tie (DESIGN.md §5).
+func budgetCases(prefix, solver string, m *saim.Model) []pinCase {
+	opt, _, _ := testkit.BruteForce(m)
+	constrained := m.Form() == saim.FormConstrained
+	var cases []pinCase
+	add := func(variant string, opts []saim.Option) {
+		cases = append(cases, pinCase{
+			name:   prefix + variant,
+			solver: solver,
+			model:  m,
+			opts:   opts,
+			ties:   !constrained,
+		})
+	}
+	add("seed7", budget(7))
+	add("seed8", budget(8))
+	// Integer data: a half-unit margin keeps the target clear of
+	// the rounding of any one cost.
+	add("target", budget(9, saim.WithTargetCost(opt+0.5)))
+	add("warm", budget(10, saim.WithInitial(make([]int, m.N()))))
+	if constrained {
+		add("patience", budget(11, saim.WithPatience(6)))
 	}
 	return cases
 }
@@ -108,8 +130,8 @@ func pinRecord(c pinCase, res *saim.Result) (assign, rest string) {
 }
 
 // TestPenaltyAndUnconstrainedPinned replays the seeded solves of pinCases
-// and compares each with testdata/pin.golden. Penalty results must match
-// bit for bit. Unconstrained saim results must match in everything but
+// and compares each with testdata/pin.golden. Constrained results (penalty
+// and saim) must match bit for bit. Unconstrained saim results must match in everything but
 // the assignment, which may differ only by an equal-cost tie; any such
 // assignment must still evaluate to the recorded cost. Regenerate with
 // go test -run TestPenaltyAndUnconstrainedPinned -update.
