@@ -320,3 +320,44 @@ func TestClusterDrainingHealthz(t *testing.T) {
 		t.Fatal("ping does not advertise the drain")
 	}
 }
+
+// TestClusterMalformedModelNotForwarded pins where a malformed model is
+// rejected in cluster mode: by the node that received it, which decodes
+// each submission once before routing. Sent alone it gets a 400 and in a
+// batch an error entry, through every node, and no node forwards it or
+// enqueues it.
+func TestClusterMalformedModelNotForwarded(t *testing.T) {
+	tc := startCluster(t, 3, service.Config{Workers: 1})
+	models := []string{
+		`{"families":"take"}`,
+		`{"families":[{"name":"take","n":2}],"objective":{"lin":[{"v":7,"w":1}]}}`,
+	}
+	for _, id := range tc.ids {
+		for _, m := range models {
+			sub := `{"solver":"saim","model":` + m + `}`
+			resp, body := post(t, tc.urls[id]+"/v1/jobs", sub)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("submit %s via %s: %d %s, want 400", m, id, resp.StatusCode, body)
+			}
+			resp, body = post(t, tc.urls[id]+"/v1/batch", `{"jobs":[`+sub+`]}`)
+			var out struct {
+				Jobs []batchEntry `json:"jobs"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatalf("batch via %s: %d %s: %v", id, resp.StatusCode, body, err)
+			}
+			if resp.StatusCode != http.StatusAccepted || len(out.Jobs) != 1 || out.Jobs[0].Error == "" || out.Jobs[0].Job != nil {
+				t.Errorf("batch %s via %s: %d %s, want one error entry", m, id, resp.StatusCode, body)
+			}
+		}
+	}
+	for _, id := range tc.ids {
+		info := tc.srvs[id].node.Info()
+		if info.Proxied != 0 || info.Fallbacks != 0 {
+			t.Errorf("node %s proxied %d and fell back %d times, want neither", id, info.Proxied, info.Fallbacks)
+		}
+		if n := tc.mgrs[id].Stats().Submitted; n != 0 {
+			t.Errorf("node %s enqueued %d submissions, want 0", id, n)
+		}
+	}
+}

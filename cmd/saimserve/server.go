@@ -272,16 +272,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // ------------------------------------------------------------- handlers ---
 
-// submit parses and enqueues one submission, mapping service errors onto
-// HTTP statuses (503 for backpressure/drain, 400 for bad requests).
-func (s *server) submit(req submitRequest) (*service.Job, int, error) {
+// decodeModel decodes a submission's model. Each request decodes it once:
+// cluster routing fingerprints the result and submit enqueues it.
+func decodeModel(req submitRequest) (*model.Model, error) {
 	if len(req.Model) == 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("missing model")
+		return nil, fmt.Errorf("missing model")
 	}
 	m := model.New()
 	if err := json.Unmarshal(req.Model, m); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, err
 	}
+	return m, nil
+}
+
+// submit enqueues one submission with its decoded model, mapping service
+// errors onto HTTP statuses (503 for backpressure/drain, 400 for bad
+// requests).
+func (s *server) submit(req submitRequest, m *model.Model) (*service.Job, int, error) {
 	// Options go through as wire options: the manager lowers them itself,
 	// so in durable mode they are journaled and survive a restart.
 	job, err := s.mgr.Submit(service.Request{
@@ -319,10 +326,15 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.forwardSubmit(w, r, req, raw) {
+	m, err := decodeModel(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job, status, err := s.submit(req)
+	if s.forwardSubmit(w, r, req, m, raw) {
+		return
+	}
+	job, status, err := s.submit(req, m)
 	if err != nil {
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", retryAfterSeconds)
@@ -335,18 +347,14 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // ------------------------------------------------------- cluster routing ---
 
-// submitOwner places one submission on the ring: the owning peer's id
-// and address, or local=true when this node should serve it itself —
-// outside cluster mode, for requests that already crossed a node, for
-// dedup-exempt submissions (any shard may run those), for bodies the
-// local path will reject with a better error, and when this node owns
-// the fingerprint.
-func (s *server) submitOwner(r *http.Request, req submitRequest) (id, addr string, local bool) {
-	if s.node == nil || r.Header.Get(cluster.ForwardHeader) != "" || req.NoDedup || len(req.Model) == 0 {
-		return "", "", true
-	}
-	m := model.New()
-	if err := json.Unmarshal(req.Model, m); err != nil {
+// submitOwner places one decoded submission on the ring: the owning
+// peer's id and address, or local=true when this node should serve it
+// itself — outside cluster mode, for requests that already crossed a
+// node, for dedup-exempt submissions (any shard may run those), for
+// models the local path will reject with a better error, and when this
+// node owns the fingerprint.
+func (s *server) submitOwner(r *http.Request, req submitRequest, m *model.Model) (id, addr string, local bool) {
+	if s.node == nil || r.Header.Get(cluster.ForwardHeader) != "" || req.NoDedup {
 		return "", "", true
 	}
 	fp, err := m.Fingerprint()
@@ -361,8 +369,8 @@ func (s *server) submitOwner(r *http.Request, req submitRequest) (id, addr strin
 // unreachable owner fails over to local serving — availability beats
 // strict sharding; the cost is a possible duplicate solve on the wrong
 // shard, never a lost submission.
-func (s *server) forwardSubmit(w http.ResponseWriter, r *http.Request, req submitRequest, raw []byte) bool {
-	owner, addr, local := s.submitOwner(r, req)
+func (s *server) forwardSubmit(w http.ResponseWriter, r *http.Request, req submitRequest, m *model.Model, raw []byte) bool {
+	owner, addr, local := s.submitOwner(r, req, m)
 	if local || !s.node.Usable(owner) {
 		return false
 	}
@@ -441,11 +449,16 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{"jobs": out})
 }
 
-// batchSubmit places one batch entry: routed to its ring owner in
-// cluster mode (each entry independently — a batch may span shards),
-// locally otherwise or on forward failure.
+// batchSubmit places one batch entry: rejected here when its model does
+// not decode, routed to its ring owner in cluster mode (each entry
+// independently — a batch may span shards), locally otherwise or on
+// forward failure.
 func (s *server) batchSubmit(r *http.Request, sub submitRequest) batchEntry {
-	if owner, addr, local := s.submitOwner(r, sub); !local && s.node.Usable(owner) {
+	m, err := decodeModel(sub)
+	if err != nil {
+		return batchEntry{Error: err.Error()}
+	}
+	if owner, addr, local := s.submitOwner(r, sub, m); !local && s.node.Usable(owner) {
 		raw, err := json.Marshal(sub)
 		if err == nil {
 			status, body, err := s.node.RouteSubmit(r.Context(), addr, raw)
@@ -456,7 +469,7 @@ func (s *server) batchSubmit(r *http.Request, sub submitRequest) batchEntry {
 			s.node.NoteFallback()
 		}
 	}
-	job, _, err := s.submit(sub)
+	job, _, err := s.submit(sub, m)
 	if err != nil {
 		return batchEntry{Error: err.Error()}
 	}

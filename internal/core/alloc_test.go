@@ -115,20 +115,17 @@ func TestEngineReuseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	solve := func(e *engine, seed uint64) *Result {
+		res := make([]*Result, 1)
+		e.solve(t.Context(), []uint64{seed}, res, nil, nil, nil)
+		return res[0]
+	}
 	// One engine runs seed A then seed B (machine reused + reseeded).
-	eng := pr.newEngine()
-	if _, err := eng.solve(t.Context(), 101, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	reused, err := eng.solve(t.Context(), 202, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := pr.newEngine(1, 1)
+	solve(eng, 101)
+	reused := solve(eng, 202)
 	// A fresh engine runs seed B directly.
-	fresh, err := pr.newEngine().solve(t.Context(), 202, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := solve(pr.newEngine(1, 1), 202)
 	if reused.BestCost != fresh.BestCost || reused.FeasibleCount != fresh.FeasibleCount {
 		t.Fatalf("reused engine diverged from fresh: %+v vs %+v", reused, fresh)
 	}

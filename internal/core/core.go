@@ -20,8 +20,11 @@
 //
 // The solve path is organized as a compiled program (energy model and base
 // biases, built once per problem) driving per-worker engines that own one
-// long-lived machine plus all hot-loop scratch; a steady-state SAIM
-// iteration performs zero heap allocations (see DESIGN.md §5.3).
+// long-lived kernel plus all hot-loop scratch; a steady-state SAIM
+// iteration performs zero heap allocations (see DESIGN.md §5.3). A kernel
+// is a packed group of 64 replica lanes or one scalar Machine run as a
+// single lane, and one engine loop drives both: single solves, replica-pool
+// remainders and packed groups all run Algorithm 1 through engine.solve.
 //
 // The same engine runs the paper's baselines: the classical penalty
 // method is Algorithm 1 with η pinned to 0 (SolvePenaltyContext), and an
@@ -32,57 +35,40 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/ising-machines/saim/internal/constraint"
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/lagrange"
-	"github.com/ising-machines/saim/internal/pbit"
 	"github.com/ising-machines/saim/internal/penalty"
 	"github.com/ising-machines/saim/internal/rng"
 	"github.com/ising-machines/saim/internal/schedule"
 	"github.com/ising-machines/saim/internal/vecmat"
 )
 
-// Machine is the Ising-machine contract SAIM needs. Any programmable
-// annealer that can re-program its bias vector between runs qualifies;
-// the p-bit machines of package pbit are the default implementations.
+// Machine is the Ising-machine contract SAIM needs: an annealer that
+// re-programs its bias vector between runs, takes a fresh randomness
+// source per solve, and writes each run's final configuration into a
+// caller-owned buffer, starting from a random state or from one it was
+// given. Both p-bit machines of package pbit implement it; the engine runs
+// a Machine as a one-lane kernel (see lanes).
 type Machine interface {
 	// UpdateBiases re-programs the field vector h of the machine's model.
 	UpdateBiases(h vecmat.Vec)
-	// Anneal runs one annealing run of the given number of sweeps from a
-	// fresh random state and returns the final configuration.
-	Anneal(sched schedule.Schedule, sweeps int) ising.Spins
-	// Sweeps reports the cumulative Monte-Carlo sweeps executed.
-	Sweeps() int64
-}
-
-// bufferedAnnealer is the optional fast path of Machine: a run that writes
-// its final state into a caller-owned buffer. Both pbit machines implement
-// it; custom machines fall back to the allocating Anneal.
-type bufferedAnnealer interface {
-	AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
-}
-
-// reseedable is the optional reuse contract of Machine: swapping the
-// randomness source lets one long-lived machine serve many solves (the
-// replica pool reseeds instead of rebuilding). Machines without it are
-// rebuilt per solve.
-type reseedable interface {
+	// Reseed replaces the randomness source; every solve reseeds before
+	// its first run, so one machine serves many solves.
 	Reseed(src *rng.Source)
-}
-
-// warmStartable is the optional warm-start contract of Machine: a machine
-// that can adopt an explicit configuration and continue annealing from it
-// instead of re-randomizing. Both pbit machines implement it; custom
-// machines without it silently fall back to a cold (random) first run.
-type warmStartable interface {
-	SetState(ising.Spins)
+	// SetState installs a configuration (the warm start).
+	SetState(s ising.Spins)
+	// AnnealInto runs one annealing run of the given number of sweeps from
+	// a fresh random state and writes the final configuration into dst.
+	AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
+	// AnnealFromInto is AnnealInto from the current configuration.
 	AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
 }
 
-// MachineFactory builds a Machine for a concrete Hamiltonian. The default
-// auto-selects between the dense and CSR p-bit emulators.
+// MachineFactory builds a Machine for a concrete Hamiltonian. The model's
+// bias vector is the machine's own; src is a placeholder that each solve
+// replaces through Reseed, so building a machine must draw no randomness.
 type MachineFactory func(model *ising.Model, src *rng.Source) Machine
 
 // MachineKind selects which p-bit kernel a solve uses. The zero value
@@ -125,14 +111,12 @@ type PackedMode int
 
 const (
 	// PackedAuto (the default) packs whenever a solve is eligible: no
-	// custom MachineFactory and at least pbit.Lanes (64) replicas. It
-	// currently packs every eligible solve; it is the mode that may grow
-	// workload heuristics later without breaking PackedOn's guarantee.
+	// custom MachineFactory and at least pbit.Lanes (64) replicas.
 	PackedAuto PackedMode = iota
-	// PackedOn packs every eligible solve (same eligibility as above —
-	// custom factories cannot be packed and fall back to scalar replicas).
+	// PackedOn behaves as PackedAuto: it packs every eligible solve, and
+	// custom factories run one-lane replicas.
 	PackedOn
-	// PackedOff forces one scalar machine per replica.
+	// PackedOff runs every replica as a one-lane task on a scalar machine.
 	PackedOff
 )
 
@@ -167,39 +151,6 @@ func (k MachineKind) Resolve(model *ising.Model) MachineKind {
 		return MachineSparse
 	}
 	return MachineDense
-}
-
-// Factory returns the MachineFactory realizing the kind.
-func (k MachineKind) Factory() MachineFactory {
-	switch k {
-	case MachineDense:
-		return DenseFactory
-	case MachineSparse:
-		return SparseFactory
-	default:
-		return DefaultFactory
-	}
-}
-
-// DefaultFactory builds the p-bit machine best suited to the model: the
-// CSR kernel below SparseDensityThreshold, the dense kernel otherwise.
-// Both produce identical trajectories, so auto-selection never changes
-// results.
-func DefaultFactory(model *ising.Model, src *rng.Source) Machine {
-	if MachineAuto.Resolve(model) == MachineSparse {
-		return pbit.NewSparse(model, src)
-	}
-	return pbit.New(model, src)
-}
-
-// DenseFactory builds the dense-row p-bit machine unconditionally.
-func DenseFactory(model *ising.Model, src *rng.Source) Machine {
-	return pbit.New(model, src)
-}
-
-// SparseFactory builds the CSR p-bit machine unconditionally.
-func SparseFactory(model *ising.Model, src *rng.Source) Machine {
-	return pbit.NewSparse(model, src)
 }
 
 // Problem is a constrained binary optimization problem in the form SAIM
@@ -266,8 +217,9 @@ type Options struct {
 	// whenever eligible; packing never changes results. Single solves
 	// (replicas == 1) ignore it.
 	Packed PackedMode
-	// Factory builds the Ising machine; nil means the kernel selected by
-	// Machine.
+	// Factory, when non-nil, builds the Ising machine each engine runs as
+	// a one-lane kernel instead of the p-bit kernel Machine selects; such
+	// solves are never packed.
 	Factory MachineFactory
 	// Trace, when non-nil, records the per-iteration trajectory.
 	Trace *Trace
@@ -368,9 +320,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.BetaMax == 0 {
 		out.BetaMax = 10
-	}
-	if out.Factory == nil {
-		out.Factory = out.Machine.Factory()
 	}
 	return out
 }
@@ -496,196 +445,6 @@ func compile(p *Problem, opts Options) (*program, error) {
 	}, nil
 }
 
-// engine owns the mutable state of one solve worker: a long-lived machine
-// (reseeded — not rebuilt — per solve when it supports it), the multiplier
-// state, and every hot-loop scratch buffer. After warm-up a steady-state
-// iteration allocates nothing; a pool worker runs many replicas through
-// one engine.
-type engine struct {
-	pr      *program
-	model   *ising.Model // J shared with pr.model, H owned by this engine
-	machine Machine
-	lam     *lagrange.Multipliers
-	step    lagrange.StepSchedule
-
-	// Hot-loop scratch, sized once at engine construction.
-	biasDelta vecmat.Vec
-	h         vecmat.Vec
-	g         vecmat.Vec
-	spins     ising.Spins
-	x         ising.Bits
-}
-
-// newEngine builds a worker around the compiled program. The coupling
-// matrix is shared (machines never write J); the bias vector is copied so
-// concurrent engines can re-program independently.
-func (pr *program) newEngine() *engine {
-	ext := pr.prob.Ext
-	lam := lagrange.New(ext.M(), pr.o.Eta)
-	lam.NonNegative = pr.o.NonNegative
-	var step lagrange.StepSchedule = lagrange.ConstantStep{Eta0: pr.o.Eta}
-	if pr.o.EtaDecayPower != 0 {
-		step = lagrange.DecayStep{Eta0: pr.o.Eta, Power: pr.o.EtaDecayPower}
-	}
-	return &engine{
-		pr:        pr,
-		model:     &ising.Model{J: pr.model.J, H: pr.baseH.Clone(), Const: pr.model.Const},
-		lam:       lam,
-		step:      step,
-		biasDelta: vecmat.NewVec(ext.NTotal),
-		h:         vecmat.NewVec(ext.NTotal),
-		g:         vecmat.NewVec(ext.M()),
-		spins:     ising.NewSpins(ext.NTotal),
-		x:         make(ising.Bits, ext.NTotal),
-	}
-}
-
-// solve runs Algorithm 1 once with the given seed, reusing the engine's
-// machine and scratch. Trace and progress come as arguments (not from the
-// program's Options) so the replica pool can redirect them per replica.
-//
-// Determinism contract: the machine's randomness stream is always
-// rng.New(seed).Split(), exactly what a freshly built solve consumes, so a
-// pooled replica reproduces the same trajectory as a standalone solve.
-func (e *engine) solve(ctx context.Context, seed uint64, trace *Trace, progress func(ProgressInfo)) (*Result, error) {
-	pr := e.pr
-	o := pr.o
-	ext := pr.prob.Ext
-
-	src := rng.New(seed)
-	switch m := e.machine.(type) {
-	case nil:
-		e.machine = o.Factory(e.model, src.Split())
-	case reseedable:
-		m.Reseed(src.Split())
-	default:
-		// Machines that cannot be reseeded are rebuilt per solve.
-		e.machine = o.Factory(e.model, src.Split())
-	}
-	e.lam.Reset()
-	startSweeps := e.machine.Sweeps()
-	buffered, _ := e.machine.(bufferedAnnealer)
-
-	res := &Result{BestCost: math.Inf(1), P: pr.pen}
-	sinceImprove := 0
-
-	// Warm start: a feasible initial assignment seeds the best-so-far (the
-	// solve never returns worse than it), and the first annealing run
-	// continues from it instead of a random state.
-	warm := len(o.Initial) > 0
-	iters := o.Iterations
-	if warm && ext.Orig.Feasible(o.Initial, 1e-9) {
-		res.BestCost = pr.prob.Cost(o.Initial)
-		res.Best = o.Initial.Clone()
-		if o.TargetCost != nil && res.BestCost <= *o.TargetCost {
-			res.Stopped = StopTarget
-			iters = 0
-		}
-	}
-
-	for k := 0; k < iters; k++ {
-		if ctx.Err() != nil {
-			res.Stopped = StopCancelled
-			break
-		}
-		res.Iterations = k + 1
-		// Re-program the machine's biases with the current λ:
-		// h_k = baseH − Σ_m λ_m row_m / 2 (spin-domain image of λᵀg).
-		lagrange.BiasDelta(e.biasDelta, ext, e.lam)
-		vecmat.SubInto(e.h, pr.baseH, e.biasDelta)
-		e.machine.UpdateBiases(e.h)
-
-		// One annealing run; the paper reads the run's last sample. The
-		// first run of a warm-started solve continues from the seeded state.
-		if k == 0 && warm && e.annealFromInitial(o) {
-			// e.spins holds the run's final state already.
-		} else if buffered != nil {
-			buffered.AnnealInto(e.spins, pr.sched, o.SweepsPerRun)
-		} else {
-			s := e.machine.Anneal(pr.sched, o.SweepsPerRun)
-			if len(s) != len(e.spins) {
-				// copy used to truncate a short return silently, leaving
-				// stale tail spins in every downstream residual; fail loudly.
-				return nil, fmt.Errorf("core: machine returned %d spins, want %d", len(s), len(e.spins))
-			}
-			copy(e.spins, s)
-		}
-		e.spins.BitsInto(e.x)
-		ext.ResidualsInto(e.g, e.x)
-
-		feasible := ext.OrigFeasible(e.x, 1e-9)
-		cost := pr.prob.Cost(e.x[:ext.NOrig])
-		sinceImprove++
-		if feasible {
-			res.FeasibleCount++
-			if cost < res.BestCost {
-				res.BestCost = cost
-				if res.Best == nil {
-					res.Best = make(ising.Bits, ext.NOrig)
-				}
-				copy(res.Best, e.x[:ext.NOrig])
-				sinceImprove = 0
-				if o.Checkpoint != nil {
-					o.Checkpoint(res.Best, cost)
-				}
-			}
-		}
-
-		if trace != nil {
-			trace.record(pr, cost, feasible, e.lam, e.x, e.g)
-		}
-
-		// λ ← λ + η_k g(x_k).
-		e.lam.UpdateScheduled(e.g, e.step)
-
-		if progress != nil {
-			progress(ProgressInfo{
-				Iteration:     k,
-				Total:         o.Iterations,
-				BestCost:      res.BestCost,
-				FeasibleCount: res.FeasibleCount,
-				Samples:       k + 1,
-				LambdaNorm:    e.lam.Values.Norm2(),
-				Sweeps:        e.machine.Sweeps() - startSweeps,
-			})
-		}
-		if o.TargetCost != nil && res.Best != nil && res.BestCost <= *o.TargetCost {
-			res.Stopped = StopTarget
-			break
-		}
-		if o.Patience > 0 && sinceImprove >= o.Patience {
-			res.Stopped = StopPatience
-			break
-		}
-	}
-	res.TotalSweeps = e.machine.Sweeps() - startSweeps
-	res.Lambda = e.lam.Values.Clone()
-	return res, nil
-}
-
-// annealFromInitial runs the first annealing sweep budget from the
-// warm-start assignment instead of a random state: the decision bits are
-// extended with greedily completed slacks, installed on the machine, and
-// the run continues from there into e.spins. It reports false — leaving
-// the caller on the cold-start path — when the machine does not support
-// adopting a state.
-func (e *engine) annealFromInitial(o Options) bool {
-	wm, ok := e.machine.(warmStartable)
-	if !ok {
-		return false
-	}
-	ext := e.pr.prob.Ext
-	copy(e.x[:ext.NOrig], o.Initial)
-	for j := ext.NOrig; j < ext.NTotal; j++ {
-		e.x[j] = 0
-	}
-	ext.CompleteSlacks(e.x)
-	e.x.SpinsInto(e.spins)
-	wm.SetState(e.spins)
-	wm.AnnealFromInto(e.spins, e.pr.sched, o.SweepsPerRun)
-	return true
-}
-
 // Solve runs Algorithm 1 on the problem.
 func Solve(p *Problem, opts Options) (*Result, error) {
 	return SolveContext(context.Background(), p, opts)
@@ -700,7 +459,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return pr.newEngine().solve(ctx, pr.o.Seed, pr.o.Trace, pr.o.Progress)
+	return pr.solveOne(ctx), nil
 }
 
 // SolvePenaltyContext runs the classical penalty method, the baseline the
@@ -714,5 +473,5 @@ func SolvePenaltyContext(ctx context.Context, p *Problem, opts Options) (*Result
 		return nil, err
 	}
 	pr.o.Eta = 0
-	return pr.newEngine().solve(ctx, pr.o.Seed, pr.o.Trace, pr.o.Progress)
+	return pr.solveOne(ctx), nil
 }

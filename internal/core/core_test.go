@@ -200,23 +200,24 @@ func TestFeasibleRatio(t *testing.T) {
 
 // exactMachine is a Machine that returns the true argmin by enumeration —
 // it makes SAIM's outer loop deterministic so we can verify the λ dynamics
-// in isolation from annealing noise.
+// in isolation from annealing noise. It ignores its randomness source and
+// any installed state.
 type exactMachine struct {
-	model  *ising.Model
-	sweeps int64
+	model *ising.Model
 }
 
 func (e *exactMachine) UpdateBiases(h vecmat.Vec) {
 	copy(e.model.H, h)
 }
 
-func (e *exactMachine) Anneal(_ schedule.Schedule, sweeps int) ising.Spins {
-	e.sweeps += int64(sweeps)
+func (e *exactMachine) Reseed(*rng.Source)   {}
+func (e *exactMachine) SetState(ising.Spins) {}
+
+func (e *exactMachine) AnnealInto(dst ising.Spins, _ schedule.Schedule, _ int) {
 	n := e.model.N()
 	bestE := math.Inf(1)
-	var best ising.Spins
+	s := make(ising.Spins, n)
 	for mask := 0; mask < 1<<n; mask++ {
-		s := make(ising.Spins, n)
 		for i := 0; i < n; i++ {
 			if mask>>i&1 == 1 {
 				s[i] = 1
@@ -225,13 +226,15 @@ func (e *exactMachine) Anneal(_ schedule.Schedule, sweeps int) ising.Spins {
 			}
 		}
 		if en := e.model.Energy(s); en < bestE {
-			bestE, best = en, s
+			bestE = en
+			copy(dst, s)
 		}
 	}
-	return best
 }
 
-func (e *exactMachine) Sweeps() int64 { return e.sweeps }
+func (e *exactMachine) AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {
+	e.AnnealInto(dst, sched, sweeps)
+}
 
 // With an exact minimizer and small P < Pc, plain penalty minimization gets
 // an infeasible lower bound, while SAIM's λ ascent must recover the true

@@ -13,8 +13,6 @@ import (
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/pbit"
 	"github.com/ising-machines/saim/internal/rng"
-	"github.com/ising-machines/saim/internal/schedule"
-	"github.com/ising-machines/saim/internal/vecmat"
 )
 
 // equalResults compares every deterministic field of two Results.
@@ -53,13 +51,14 @@ func equalResults(t *testing.T, r int, got, want *Result) {
 	}
 }
 
-// The engine-level pin of the packed path: every lane of the packed engine
-// must reproduce, bit-for-bit, the Result the scalar engine produces for
-// the same replica seed — including lanes frozen early by patience while
-// their siblings keep sweeping — at every lane-window count (1, the even
-// split, the uneven 3- and 5-window splits, one octet per window). The
-// unconstrained input (M = 0, a sparse max-cut-like QUBO) pins the lifted
-// replica path of unconstrained models.
+// The engine-level pin of the packed path: every lane of a packed engine
+// must reproduce, bit-for-bit, the Result a one-lane engine on the scalar
+// p-bit machine produces for the same replica seed — including lanes
+// frozen early by patience while their siblings keep sweeping — at every
+// lane-window count (1, the even split, the uneven 3- and 5-window
+// splits, one octet per window). The unconstrained input (M = 0, a
+// sparse max-cut-like QUBO) pins the lifted replica path of unconstrained
+// models.
 func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
 	knap, _ := knapsackProblem([]float64{6, 5, 8, 9, 6}, []float64{2, 3, 6, 7, 5}, 12)
 	for _, c := range []struct {
@@ -85,15 +84,13 @@ func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
 			for r := range seeds {
 				seeds[r] = replicaSeed(o.Seed, r)
 			}
-			eng := pr.newEngine()
+			eng := pr.newEngine(1, 1)
 			want := make([]*Result, pbit.Lanes)
 			wantTraces := make([]*Trace, pbit.Lanes)
 			sawEarlyStop := false
 			for r := range want {
 				wantTraces[r] = &Trace{}
-				if want[r], err = eng.solve(context.Background(), seeds[r], wantTraces[r], nil); err != nil {
-					t.Fatal(err)
-				}
+				eng.solve(context.Background(), seeds[r:r+1], want[r:r+1], wantTraces[r:r+1], nil, nil)
 				sawEarlyStop = sawEarlyStop || want[r].Stopped == StopPatience
 			}
 			if !sawEarlyStop {
@@ -101,13 +98,14 @@ func TestSolveParallelPackedMatchesScalarReplicas(t *testing.T) {
 			}
 
 			for _, windows := range []int{1, 2, 3, 5, 8} {
-				pe := pr.newPackedEngine(windows)
+				pe := pr.newEngine(pbit.Lanes, windows)
 				traces := make([]*Trace, pbit.Lanes)
 				for r := range traces {
 					traces[r] = &Trace{}
 				}
-				got := pe.solve(context.Background(), seeds, traces, nil, nil)
-				pe.pk.Close()
+				got := make([]*Result, pbit.Lanes)
+				pe.solve(context.Background(), seeds, got, traces, nil, nil)
+				pe.kernel.Close()
 				for r, res := range got {
 					equalResults(t, r, res, want[r])
 					tr := wantTraces[r]
@@ -238,61 +236,45 @@ func TestSolveParallelPackedCancellation(t *testing.T) {
 	}
 }
 
-// badMachine is a custom Machine whose Anneal returns a wrong-length
-// configuration — the defect class the length validation in engine.solve
-// now catches instead of silently truncating the copy.
-type badMachine struct {
-	n      int
-	sweeps int64
-	calls  *int32
-}
-
-func (m *badMachine) UpdateBiases(h vecmat.Vec) {}
-func (m *badMachine) Sweeps() int64             { return m.sweeps }
-func (m *badMachine) Anneal(sched schedule.Schedule, sweeps int) ising.Spins {
-	atomic.AddInt32(m.calls, 1)
-	m.sweeps += int64(sweeps)
-	return make(ising.Spins, m.n-1)
-}
-
-// Satellite: the first worker error must stop the pool from starting any
-// further replicas (with one worker the count is deterministic).
-func TestSolveParallelStopsFeedingOnError(t *testing.T) {
-	p, _ := knapsackProblem([]float64{3, 4, 5}, []float64{2, 3, 4}, 5)
-	var calls int32
+// A custom factory packs nothing: every replica of its pool, 64 or not,
+// is a one-lane task on an engine that builds the factory's machine once
+// and reseeds it per replica. The exact minimizer ignores its seed, so
+// every replica retraces the single solve, whose λ ascent reaches the
+// proven optimum, at any worker count.
+func TestSolveParallelCustomFactoryReplicas(t *testing.T) {
+	p, opt := knapsackProblem([]float64{6, 5, 8}, []float64{3, 2, 4}, 5)
+	var built atomic.Int32
 	opts := Options{
-		Iterations: 5, SweepsPerRun: 10, Eta: 0.5, Seed: 3,
-		Factory: func(model *ising.Model, src *rng.Source) Machine {
-			return &badMachine{n: model.N(), calls: &calls}
+		P: 0.2, Iterations: 300, Eta: 0.2, Seed: 5, SweepsPerRun: 1,
+		Factory: func(model *ising.Model, _ *rng.Source) Machine {
+			built.Add(1)
+			return &exactMachine{model: model}
 		},
 	}
-	_, err := SolveParallel(p, opts, 8)
-	if err == nil {
-		t.Fatal("wrong-length Anneal return did not error")
+	single, err := Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&calls); got >= 8*int32(opts.Iterations) {
-		t.Fatalf("pool kept feeding after the first error: %d Anneal calls", got)
-	}
-}
-
-// With a single worker the stop is exact: the erroring replica's one
-// Anneal call is the only one that ever runs.
-func TestSolveParallelErrorStopIsExactSequentially(t *testing.T) {
-	p, _ := knapsackProblem([]float64{3, 4, 5}, []float64{2, 3, 4}, 5)
-	var calls int32
-	opts := Options{
-		Iterations: 5, SweepsPerRun: 10, Eta: 0.5, Seed: 3,
-		Factory: func(model *ising.Model, src *rng.Source) Machine {
-			return &badMachine{n: model.N(), calls: &calls}
-		},
-	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	if _, err := SolveParallel(p, opts, 6); err == nil {
-		t.Fatal("wrong-length Anneal return did not error")
-	}
-	if got := atomic.LoadInt32(&calls); got != 1 {
-		t.Fatalf("Anneal ran %d times after the first error, want exactly 1", got)
+	const replicas = pbit.Lanes + 6
+	for _, procs := range []int{1, 4} {
+		built.Store(0)
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := SolveParallel(p, opts, replicas)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Best == nil || res.BestCost != opt {
+			t.Fatalf("GOMAXPROCS %d: merged BestCost %v, want the proven optimum %v", procs, res.BestCost, opt)
+		}
+		if res.Iterations != replicas*single.Iterations || res.FeasibleCount != replicas*single.FeasibleCount ||
+			!slices.Equal(res.Lambda, single.Lambda) {
+			t.Errorf("GOMAXPROCS %d: merged %d iterations, %d feasible, λ %v; want %d replicas of %d, %d, %v", procs,
+				res.Iterations, res.FeasibleCount, res.Lambda, replicas, single.Iterations, single.FeasibleCount, single.Lambda)
+		}
+		if n := built.Load(); n < 1 || n > int32(procs) {
+			t.Errorf("GOMAXPROCS %d: the factory built %d machines, want one per worker", procs, n)
+		}
 	}
 }
 

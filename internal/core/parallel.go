@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ising-machines/saim/internal/pbit"
 )
@@ -108,16 +107,16 @@ func SolveParallel(p *Problem, opts Options, replicas int) (*Result, error) {
 // best-so-far result is returned with Stopped == StopCancelled.
 //
 // The energy model is compiled once and shared; each of the
-// min(GOMAXPROCS, tasks) workers owns one long-lived engine — machine,
-// multiplier state, and scratch — reused (reseeded) across every replica it
+// min(GOMAXPROCS, tasks) workers owns long-lived engines — kernel,
+// multiplier state, and scratch — reused (reseeded) across every task it
 // picks up, so per-replica setup is O(N) instead of an O(N²) model +
-// machine rebuild. A packed 64-lane group is one task; when there are
-// fewer tasks than Ps, each group's lanes anneal in several concurrent
-// lane windows, so a lone group on an otherwise idle machine still uses
-// every core. Progress callbacks
-// from all replicas are merged thread-safely into fleet-wide totals, and
-// the winning replica's trajectory is copied into Options.Trace when one
-// is supplied.
+// machine rebuild. A task is a packed 64-lane group or one replica on a
+// one-lane engine; both run the same engine loop. When there are fewer
+// tasks than Ps, each group's lanes anneal in several concurrent lane
+// windows, so a lone group on an otherwise idle machine still uses every
+// core. Progress callbacks from all replicas are merged thread-safely into
+// fleet-wide totals, and the winning replica's trajectory is copied into
+// Options.Trace when one is supplied.
 func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replicas int) (*Result, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("core: SolveParallel requires replicas > 0, got %d", replicas)
@@ -137,7 +136,6 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 		agg = NewProgressAggregator(pr.o.Progress, replicas, pr.o.Iterations*replicas)
 	}
 	results := make([]*Result, replicas)
-	errs := make([]error, replicas)
 	// Each replica records a private trace (race-free), but losers are
 	// dropped as soon as they are beaten so at most one full trajectory
 	// per in-flight worker is ever retained. The kept trace replicates the
@@ -165,11 +163,11 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 
 	// Eligible solves route full 64-lane groups through the bit-packed
 	// kernels (one J-row walk sweeps 64 replicas); the remainder — and
-	// every replica of a custom-factory or PackedOff solve — runs on the
-	// scalar per-replica engines. Lane r of a packed group reproduces the
-	// scalar replica with the same seed bit-for-bit, so routing never
-	// changes results.
-	packed := opts.Factory == nil && pr.o.Packed != PackedOff && replicas >= pbit.Lanes
+	// every replica of a custom-factory or PackedOff solve — runs as
+	// one-lane tasks. Lane r of a packed group reproduces the one-lane
+	// replica with the same seed bit-for-bit, so routing never changes
+	// results.
+	packed := pr.o.Factory == nil && pr.o.Packed != PackedOff && replicas >= pbit.Lanes
 	tasks := buildReplicaTasks(replicas, packed)
 
 	procs := runtime.GOMAXPROCS(0)
@@ -182,65 +180,40 @@ func SolveParallelContext(ctx context.Context, p *Problem, opts Options, replica
 	// lane's trajectory, only wall time.
 	windows := procs / len(tasks)
 	jobs := make(chan replicaTask)
-	// failed stops the task feeder (and makes draining workers skip queued
-	// tasks) as soon as any replica errors: an error aborts the whole solve,
-	// so starting further replicas would only burn cycles on dead work.
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var eng *engine        // scalar worker state, built on first scalar task
-			var peng *packedEngine // packed worker state, built on first packed task
+			// One engine per task width, built on its first task and
+			// reseeded for every later one.
+			var one, group *engine
 			defer func() {
-				if peng != nil {
-					peng.pk.Close()
+				for _, e := range []*engine{one, group} {
+					if e != nil {
+						e.kernel.Close()
+					}
 				}
 			}()
+			var seeds [pbit.Lanes]uint64
+			var progs [pbit.Lanes]func(ProgressInfo)
 			for t := range jobs {
-				if failed.Load() {
-					continue // drain without starting new replicas
+				e := &one
+				if t.count > 1 {
+					e = &group
 				}
-				if t.count == 1 {
-					r := t.start
-					var tr *Trace
-					if pr.o.Trace != nil {
-						tr = &Trace{}
-					}
-					if eng == nil {
-						eng = pr.newEngine() // one machine + scratch, reused for every replica
-					}
-					results[r], errs[r] = eng.solve(ctx, replicaSeed(pr.o.Seed, r), tr, agg.Callback(r))
-					if errs[r] != nil {
-						failed.Store(true)
-						continue
-					}
-					if results[r] != nil {
-						if tr != nil {
-							keepIfWinner(r, results[r].BestCost, tr)
-						}
-						if results[r].Stopped == StopTarget {
-							stopSiblings()
-						}
-					}
-					continue
+				if *e == nil {
+					*e = pr.newEngine(t.count, windows)
 				}
-				if peng == nil {
-					peng = pr.newPackedEngine(windows)
-				}
-				seeds := make([]uint64, t.count)
-				progs := make([]func(ProgressInfo), t.count)
-				for i := range seeds {
+				for i := range t.count {
 					seeds[i] = replicaSeed(pr.o.Seed, t.start+i)
 					progs[i] = agg.Callback(t.start + i)
 				}
 				traces := laneTraces(t.count)
-				for i, res := range peng.solve(ctx, seeds, traces, progs, stopSiblings) {
-					results[t.start+i] = res
-					if traces != nil {
-						keepIfWinner(t.start+i, res.BestCost, traces[i])
-					}
+				out := results[t.start : t.start+t.count]
+				(*e).solve(ctx, seeds[:t.count], out, traces, progs[:t.count], stopSiblings)
+				for i, tr := range traces {
+					keepIfWinner(t.start+i, out[i].BestCost, tr)
 				}
 			}
 		}()
@@ -255,17 +228,9 @@ feed:
 			// StopCancelled result, so don't start them at all.
 			break feed
 		}
-		if failed.Load() {
-			break
-		}
 	}
 	close(jobs)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	merged := &Result{BestCost: math.Inf(1), P: pr.pen}
 	ran := 0
@@ -311,14 +276,14 @@ feed:
 }
 
 // replicaTask is one unit of replica-pool work: `count` consecutive
-// replicas starting at index `start`. Scalar tasks carry one replica;
+// replicas starting at index `start`. One-lane tasks carry one replica;
 // packed tasks carry a full pbit.Lanes group.
 type replicaTask struct {
 	start, count int
 }
 
 // buildReplicaTasks splits the replica range into packed 64-lane groups
-// (when packing is on) followed by scalar singletons for the remainder.
+// (when packing is on) followed by one-lane tasks for the remainder.
 func buildReplicaTasks(replicas int, packed bool) []replicaTask {
 	var tasks []replicaTask
 	r := 0
