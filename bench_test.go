@@ -216,9 +216,10 @@ func BenchmarkAnnealRun(b *testing.B) {
 	model := benchModel(100, 5)
 	m := pbit.New(model, rng.New(1))
 	sched := schedule.Linear{Start: 0, End: 10}
+	final := ising.NewSpins(model.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Anneal(sched, 1000)
+		m.AnnealInto(final, sched, 1000)
 	}
 }
 

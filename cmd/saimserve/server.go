@@ -273,13 +273,16 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // ------------------------------------------------------------- handlers ---
 
 // decodeModel decodes a submission's model. Each request decodes it once:
-// cluster routing fingerprints the result and submit enqueues it.
+// cluster routing fingerprints the result and submit enqueues it. The
+// request decode has already checked the model's bytes, so they go
+// straight to the model's own decoder rather than through json.Unmarshal,
+// which would scan them again first.
 func decodeModel(req submitRequest) (*model.Model, error) {
 	if len(req.Model) == 0 {
 		return nil, fmt.Errorf("missing model")
 	}
 	m := model.New()
-	if err := json.Unmarshal(req.Model, m); err != nil {
+	if err := m.UnmarshalJSON(req.Model); err != nil {
 		return nil, err
 	}
 	return m, nil

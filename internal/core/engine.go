@@ -177,7 +177,9 @@ func (e *engine) solve(ctx context.Context, seeds []uint64, results []*Result, t
 
 	// Warm start: a feasible initial assignment seeds every lane's
 	// best-so-far (no lane returns worse than it), and the first run
-	// continues from it instead of a random state.
+	// continues from it instead of a random state. That run's first sweep
+	// is at β = 0 and redraws every spin from noise, so the installed
+	// state only changes the random stream (no randomizing draws).
 	warm := len(o.Initial) > 0
 	iters := o.Iterations
 	if warm && ext.Orig.Feasible(o.Initial, 1e-9) {

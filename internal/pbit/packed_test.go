@@ -515,9 +515,9 @@ func TestPackedWarmStartMatchesScalar(t *testing.T) {
 		}
 		pm.AnnealFromRun(sched, 25)
 		pm.Close()
-		got := ising.NewSpins(18)
+		got, ws := ising.NewSpins(18), ising.NewSpins(18)
 		for r, m := range fleet {
-			ws := m.(*Machine).AnnealFrom(sched, 25)
+			m.(*Machine).AnnealFromInto(ws, sched, 25)
 			pm.LaneStateInto(got, r)
 			for i := range ws {
 				if got[i] != ws[i] {

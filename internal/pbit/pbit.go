@@ -247,21 +247,10 @@ func (m *Machine) Sweep(beta float64) {
 	m.sweeps++
 }
 
-// Anneal runs `sweeps` Monte-Carlo sweeps with β following sched, starting
-// from a fresh random configuration, and returns the final state (the
-// paper reads the last sample of each run). The returned slice is a copy;
-// allocation-sensitive callers should use AnnealInto.
-func (m *Machine) Anneal(sched schedule.Schedule, sweeps int) ising.Spins {
-	m.Randomize()
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-	return m.state.Clone()
-}
-
-// AnnealInto is Anneal writing the final configuration into the
-// caller-owned dst (length N) instead of allocating a copy. It is the
-// zero-allocation run primitive of the solve engine.
+// AnnealInto runs `sweeps` Monte-Carlo sweeps with β following sched,
+// starting from a fresh random configuration, and writes the final state
+// (the paper reads the last sample of each run) into the caller-owned dst
+// (length N). It is the zero-allocation run primitive of the solve engine.
 //
 //saim:hotpath
 func (m *Machine) AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {
@@ -275,17 +264,8 @@ func (m *Machine) AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps in
 	copy(dst, m.state)
 }
 
-// AnnealFrom is Anneal without the re-randomization: it continues from the
-// current state. Used by parallel tempering and warm-start ablations.
-func (m *Machine) AnnealFrom(sched schedule.Schedule, sweeps int) ising.Spins {
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-	return m.state.Clone()
-}
-
-// AnnealFromInto is AnnealFrom writing the final configuration into the
-// caller-owned dst instead of allocating a copy.
+// AnnealFromInto is AnnealInto without the re-randomization: it continues
+// from the current state. Used by warm starts.
 //
 //saim:hotpath
 func (m *Machine) AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {

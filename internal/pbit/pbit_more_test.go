@@ -10,30 +10,32 @@ import (
 	"github.com/ising-machines/saim/internal/vecmat"
 )
 
-// AnnealFrom must continue from the current state, not re-randomize: at
-// β=∞-ish and zero sweeps it should leave the state untouched.
+// AnnealFromInto must continue from the current state, not re-randomize:
+// at β=∞-ish and zero sweeps it should leave the state untouched.
 func TestAnnealFromZeroSweepsKeepsState(t *testing.T) {
 	src := rng.New(41)
 	m := New(randomModel(src, 8), src.Split())
 	s := ising.NewSpins(8)
 	s[3] = 1
 	m.SetState(s)
-	out := m.AnnealFrom(schedule.Constant{Value: 5}, 0)
+	out := ising.NewSpins(8)
+	m.AnnealFromInto(out, schedule.Constant{Value: 5}, 0)
 	for i := range s {
 		if out[i] != s[i] {
-			t.Fatal("AnnealFrom(0 sweeps) changed state")
+			t.Fatal("AnnealFromInto(0 sweeps) changed state")
 		}
 	}
 }
 
-// Anneal must re-randomize: two consecutive anneals from the same machine
+// AnnealInto must re-randomize: two consecutive anneals from the same machine
 // should (with overwhelming probability) not return identical states on a
 // frustrated model at low β.
 func TestAnnealRerandomizes(t *testing.T) {
 	src := rng.New(43)
 	m := New(randomModel(src, 24), src.Split())
-	a := m.Anneal(schedule.Constant{Value: 0.1}, 3)
-	b := m.Anneal(schedule.Constant{Value: 0.1}, 3)
+	a, b := ising.NewSpins(24), ising.NewSpins(24)
+	m.AnnealInto(a, schedule.Constant{Value: 0.1}, 3)
+	m.AnnealInto(b, schedule.Constant{Value: 0.1}, 3)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

@@ -129,7 +129,7 @@ func TestHighBetaDescendsEnergy(t *testing.T) {
 	for k := 0; k < trials; k++ {
 		m.Randomize()
 		e0 := m.Energy()
-		m.AnnealFrom(schedule.Constant{Value: 50}, 50)
+		m.AnnealFromInto(ising.NewSpins(30), schedule.Constant{Value: 50}, 50)
 		if m.Energy() <= e0 {
 			better++
 		}
@@ -217,8 +217,9 @@ func TestAnnealFindsGroundStateSmall(t *testing.T) {
 	m := New(model, src.Split())
 	hits := 0
 	const runs = 30
+	s := ising.NewSpins(model.N())
 	for k := 0; k < runs; k++ {
-		s := m.Anneal(schedule.Linear{Start: 0, End: 10}, 300)
+		m.AnnealInto(s, schedule.Linear{Start: 0, End: 10}, 300)
 		if model.Energy(s) <= best+1e-9 {
 			hits++
 		}
@@ -231,7 +232,7 @@ func TestAnnealFindsGroundStateSmall(t *testing.T) {
 func TestSweepCounter(t *testing.T) {
 	src := rng.New(23)
 	m := New(randomModel(src, 4), src.Split())
-	m.Anneal(schedule.Linear{End: 5}, 17)
+	m.AnnealInto(ising.NewSpins(4), schedule.Linear{End: 5}, 17)
 	if m.Sweeps() != 17 {
 		t.Fatalf("Sweeps = %d, want 17", m.Sweeps())
 	}
@@ -256,7 +257,9 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	mk := func() ising.Spins {
 		src := rng.New(31)
 		m := New(randomModel(src, 12), src.Split())
-		return m.Anneal(schedule.Linear{End: 8}, 100)
+		s := ising.NewSpins(12)
+		m.AnnealInto(s, schedule.Linear{End: 8}, 100)
+		return s
 	}
 	a, b := mk(), mk()
 	for i := range a {

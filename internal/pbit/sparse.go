@@ -198,18 +198,8 @@ func (m *SparseMachine) Sweep(beta float64) {
 	m.sweeps++
 }
 
-// Anneal runs one annealing run from a fresh random state. The returned
-// slice is a copy; allocation-sensitive callers should use AnnealInto.
-func (m *SparseMachine) Anneal(sched schedule.Schedule, sweeps int) ising.Spins {
-	m.Randomize()
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-	return m.state.Clone()
-}
-
-// AnnealInto is Anneal writing the final configuration into the
-// caller-owned dst (length N) instead of allocating a copy.
+// AnnealInto runs one annealing run from a fresh random state and writes
+// the final configuration into the caller-owned dst (length N).
 //
 //saim:hotpath
 func (m *SparseMachine) AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {
@@ -223,17 +213,8 @@ func (m *SparseMachine) AnnealInto(dst ising.Spins, sched schedule.Schedule, swe
 	copy(dst, m.state)
 }
 
-// AnnealFrom continues annealing from the current state (no
-// re-randomization), mirroring Machine.AnnealFrom.
-func (m *SparseMachine) AnnealFrom(sched schedule.Schedule, sweeps int) ising.Spins {
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-	return m.state.Clone()
-}
-
-// AnnealFromInto is AnnealFrom writing the final configuration into the
-// caller-owned dst instead of allocating a copy.
+// AnnealFromInto continues annealing from the current state (no
+// re-randomization), mirroring Machine.AnnealFromInto.
 //
 //saim:hotpath
 func (m *SparseMachine) AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {

@@ -50,8 +50,9 @@ func TestSparseAnnealMatchesDense(t *testing.T) {
 	dense := New(model, rng.New(5))
 	sparse := NewSparse(model, rng.New(5))
 	sched := schedule.Linear{Start: 0, End: 8}
-	a := dense.Anneal(sched, 120)
-	b := sparse.Anneal(sched, 120)
+	a, b := ising.NewSpins(24), ising.NewSpins(24)
+	dense.AnnealInto(a, sched, 120)
+	sparse.AnnealInto(b, sched, 120)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("anneal results differ")
@@ -125,7 +126,7 @@ func TestSparseRejectsInvalidModel(t *testing.T) {
 func TestSparseSweepCounter(t *testing.T) {
 	src := rng.New(101)
 	m := NewSparse(sparseModel(src, 6, 0.5), src.Split())
-	m.Anneal(schedule.Linear{End: 5}, 9)
+	m.AnnealInto(ising.NewSpins(6), schedule.Linear{End: 5}, 9)
 	if m.Sweeps() != 9 {
 		t.Fatalf("Sweeps = %d", m.Sweeps())
 	}

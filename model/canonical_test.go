@@ -1,8 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -100,59 +102,117 @@ func randomExpr(r *rand.Rand, n int) Expr {
 	return e
 }
 
+// checkCanonical compares Expr.canonical with the map-merge oracle, bit
+// for bit, and checks that it leaves the expression's own terms as they
+// were.
+func checkCanonical(t *testing.T, what string, e Expr) {
+	t.Helper()
+	lin0 := append([]linTerm(nil), e.lin...)
+	quad0 := append([]quadTerm(nil), e.quad...)
+
+	lin, quad, poly := e.canonical()
+	wantLin, wantQuad, wantPoly := canonicalMapMerge(e)
+
+	if len(lin) != len(wantLin) {
+		t.Fatalf("%s: %d linear terms, want %d", what, len(lin), len(wantLin))
+	}
+	for k := range lin {
+		if lin[k].v != wantLin[k].v || math.Float64bits(lin[k].w) != math.Float64bits(wantLin[k].w) {
+			t.Fatalf("%s: linear term %d = %+v, want %+v", what, k, lin[k], wantLin[k])
+		}
+	}
+	if len(quad) != len(wantQuad) {
+		t.Fatalf("%s: %d quadratic terms, want %d", what, len(quad), len(wantQuad))
+	}
+	for k := range quad {
+		g, w := quad[k], wantQuad[k]
+		if g.i != w.i || g.j != w.j || math.Float64bits(g.w) != math.Float64bits(w.w) {
+			t.Fatalf("%s: quadratic term %d = %+v, want %+v", what, k, g, w)
+		}
+	}
+	if len(poly) != len(wantPoly) {
+		t.Fatalf("%s: %d higher-order terms, want %d", what, len(poly), len(wantPoly))
+	}
+	for k := range poly {
+		g, w := poly[k], wantPoly[k]
+		if math.Float64bits(g.w) != math.Float64bits(w.w) || len(g.vars) != len(w.vars) {
+			t.Fatalf("%s: higher-order term %d = %+v, want %+v", what, k, g, w)
+		}
+		for a := range g.vars {
+			if g.vars[a] != w.vars[a] {
+				t.Fatalf("%s: higher-order term %d = %+v, want %+v", what, k, g, w)
+			}
+		}
+	}
+
+	// Canonicalizing is read-only: the expression's own terms keep
+	// their insertion order.
+	for k := range lin0 {
+		if e.lin[k] != lin0[k] {
+			t.Fatalf("%s: canonical reordered the expression's linear terms", what)
+		}
+	}
+	for k := range quad0 {
+		if e.quad[k] != quad0[k] {
+			t.Fatalf("%s: canonical reordered the expression's quadratic terms", what)
+		}
+	}
+}
+
 func TestCanonicalMatchesMapMerge(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 2000; trial++ {
 		e := randomExpr(r, 3+r.IntN(12))
-		lin0 := append([]linTerm(nil), e.lin...)
-		quad0 := append([]quadTerm(nil), e.quad...)
+		checkCanonical(t, fmt.Sprintf("trial %d", trial), e)
 
-		lin, quad, poly := e.canonical()
-		wantLin, wantQuad, wantPoly := canonicalMapMerge(e)
-
-		if len(lin) != len(wantLin) {
-			t.Fatalf("trial %d: %d linear terms, want %d", trial, len(lin), len(wantLin))
+		// The already-canonical lists that canonical returns uncopied, and
+		// lists one step away from canonical, which must still merge: one
+		// zero weight, one monomial repeated next to itself, one adjacent
+		// pair out of order.
+		lin, quad, poly := canonicalMapMerge(e)
+		canon := Expr{c: e.c, lin: lin, quad: quad, poly: poly}
+		checkCanonical(t, fmt.Sprintf("trial %d, canonical", trial), canon)
+		if gl, gq, _ := canon.canonical(); len(gl) > 0 && &gl[0] != &lin[0] || len(gq) > 0 && &gq[0] != &quad[0] {
+			t.Fatalf("trial %d: canonical copied lists that were already canonical", trial)
 		}
-		for k := range lin {
-			if lin[k].v != wantLin[k].v || math.Float64bits(lin[k].w) != math.Float64bits(wantLin[k].w) {
-				t.Fatalf("trial %d: linear term %d = %+v, want %+v", trial, k, lin[k], wantLin[k])
-			}
-		}
-		if len(quad) != len(wantQuad) {
-			t.Fatalf("trial %d: %d quadratic terms, want %d", trial, len(quad), len(wantQuad))
-		}
-		for k := range quad {
-			g, w := quad[k], wantQuad[k]
-			if g.i != w.i || g.j != w.j || math.Float64bits(g.w) != math.Float64bits(w.w) {
-				t.Fatalf("trial %d: quadratic term %d = %+v, want %+v", trial, k, g, w)
-			}
-		}
-		if len(poly) != len(wantPoly) {
-			t.Fatalf("trial %d: %d higher-order terms, want %d", trial, len(poly), len(wantPoly))
-		}
-		for k := range poly {
-			g, w := poly[k], wantPoly[k]
-			if math.Float64bits(g.w) != math.Float64bits(w.w) || len(g.vars) != len(w.vars) {
-				t.Fatalf("trial %d: higher-order term %d = %+v, want %+v", trial, k, g, w)
-			}
-			for a := range g.vars {
-				if g.vars[a] != w.vars[a] {
-					t.Fatalf("trial %d: higher-order term %d = %+v, want %+v", trial, k, g, w)
+		for _, v := range []struct {
+			name string
+			edit func(x *Expr)
+		}{
+			{"zero weight", func(x *Expr) {
+				if len(x.lin) > 0 {
+					x.lin[r.IntN(len(x.lin))].w = 0
 				}
-			}
-		}
-
-		// Canonicalizing is read-only: the expression's own terms keep
-		// their insertion order.
-		for k := range lin0 {
-			if e.lin[k] != lin0[k] {
-				t.Fatalf("trial %d: canonical reordered the expression's linear terms", trial)
-			}
-		}
-		for k := range quad0 {
-			if e.quad[k] != quad0[k] {
-				t.Fatalf("trial %d: canonical reordered the expression's quadratic terms", trial)
-			}
+				if len(x.quad) > 0 {
+					x.quad[r.IntN(len(x.quad))].w = math.Copysign(0, -1)
+				}
+			}},
+			{"equal neighbour", func(x *Expr) {
+				if k := len(x.lin); k > 0 {
+					a := r.IntN(k)
+					x.lin = slices.Insert(x.lin, a+1, linTerm{v: x.lin[a].v, w: randomWeight(r)})
+				}
+				if k := len(x.quad); k > 0 {
+					a := r.IntN(k)
+					t := x.quad[a]
+					t.w = randomWeight(r)
+					x.quad = slices.Insert(x.quad, a+1, t)
+				}
+			}},
+			{"inversion", func(x *Expr) {
+				if k := len(x.lin); k > 1 {
+					a := r.IntN(k - 1)
+					x.lin[a], x.lin[a+1] = x.lin[a+1], x.lin[a]
+				}
+				if k := len(x.quad); k > 1 {
+					a := r.IntN(k - 1)
+					x.quad[a], x.quad[a+1] = x.quad[a+1], x.quad[a]
+				}
+			}},
+		} {
+			x := Expr{c: e.c, lin: slices.Clone(lin), quad: slices.Clone(quad), poly: poly}
+			v.edit(&x)
+			checkCanonical(t, fmt.Sprintf("trial %d, %s", trial, v.name), x)
 		}
 	}
 }

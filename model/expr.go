@@ -274,8 +274,28 @@ func (e Expr) degree() int {
 // the same order, that accumulating into a map would give: bit for bit,
 // in O(t log t) and with no hashing. Monomials whose weights sum to zero
 // (of either sign) are dropped.
+//
+// A list that is already canonical — monomials strictly increasing, no
+// zero weight — comes back as it is, uncopied: merging it would rebuild
+// each weight as +0 + w, which is w bit for bit. Decoded wire models and
+// catalog QKPs take this path. The returned lists may therefore share the
+// expression's storage, and callers only read them.
 func (e Expr) canonical() (lin []linTerm, quad []quadTerm, poly []polyTerm) {
-	lin = slices.Clone(e.lin)
+	return canonicalLin(e.lin), canonicalQuad(e.quad), canonicalPoly(e.poly)
+}
+
+func canonicalLin(ts []linTerm) []linTerm {
+	canon := true
+	for k, t := range ts {
+		if t.w == 0 || k > 0 && ts[k-1].v >= t.v {
+			canon = false
+			break
+		}
+	}
+	if canon {
+		return ts[:len(ts):len(ts)]
+	}
+	lin := slices.Clone(ts)
 	slices.SortStableFunc(lin, func(a, b linTerm) int { return cmp.Compare(a.v, b.v) })
 	k := 0
 	for s := 0; s < len(lin); {
@@ -288,16 +308,28 @@ func (e Expr) canonical() (lin []linTerm, quad []quadTerm, poly []polyTerm) {
 			k++
 		}
 	}
-	lin = lin[:k]
+	return lin[:k]
+}
 
-	quad = slices.Clone(e.quad)
+func canonicalQuad(ts []quadTerm) []quadTerm {
+	canon := true
+	for k, t := range ts {
+		if t.w == 0 || k > 0 && (ts[k-1].i > t.i || ts[k-1].i == t.i && ts[k-1].j >= t.j) {
+			canon = false
+			break
+		}
+	}
+	if canon {
+		return ts[:len(ts):len(ts)]
+	}
+	quad := slices.Clone(ts)
 	slices.SortStableFunc(quad, func(a, b quadTerm) int {
 		if c := cmp.Compare(a.i, b.i); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.j, b.j)
 	})
-	k = 0
+	k := 0
 	for s := 0; s < len(quad); {
 		t := quadTerm{i: quad[s].i, j: quad[s].j}
 		for ; s < len(quad) && quad[s].i == t.i && quad[s].j == t.j; s++ {
@@ -308,14 +340,20 @@ func (e Expr) canonical() (lin []linTerm, quad []quadTerm, poly []polyTerm) {
 			k++
 		}
 	}
-	quad = quad[:k]
+	return quad[:k]
+}
 
-	for _, t := range e.poly {
+func canonicalPoly(ts []polyTerm) []polyTerm {
+	if !slices.ContainsFunc(ts, func(t polyTerm) bool { return t.w == 0 }) {
+		return ts[:len(ts):len(ts)]
+	}
+	var poly []polyTerm
+	for _, t := range ts {
 		if t.w != 0 {
 			poly = append(poly, t)
 		}
 	}
-	return lin, quad, poly
+	return poly
 }
 
 // linearCoeffs returns the merged linear coefficient vector of a linear

@@ -3,7 +3,6 @@ package model
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -22,6 +21,12 @@ import (
 // their expressions were built up — serialize to identical bytes. That
 // determinism is what Fingerprint keys on, and what lets a solve service
 // deduplicate identical submissions.
+//
+// The structs below define the format through their JSON tags, but the
+// codec does not go through encoding/json's reflection: wireWriter
+// writes exactly the bytes json.Marshal writes for the wireModel, and
+// wireDecoder fills a wireModel exactly as json.Unmarshal would, from
+// exactly the documents json.Unmarshal accepts (see wire.go).
 type wireModel struct {
 	Families    []wireFamily     `json:"families"`
 	Maximize    bool             `json:"maximize,omitempty"`
@@ -66,22 +71,6 @@ type wireConstraint struct {
 	Sense string   `json:"sense"` // "<=", "==", ">="
 	Expr  wireExpr `json:"expr"`
 	Bound float64  `json:"bound"`
-}
-
-// toWire canonicalizes an expression for the wire.
-func (e Expr) toWire() wireExpr {
-	lin, quad, poly := e.canonical()
-	out := wireExpr{Const: e.c}
-	for _, t := range lin {
-		out.Lin = append(out.Lin, wireLin{V: t.v, W: t.w})
-	}
-	for _, t := range quad {
-		out.Quad = append(out.Quad, wireQuad{I: t.i, J: t.j, W: t.w})
-	}
-	for _, t := range poly {
-		out.Poly = append(out.Poly, wirePoly{Vars: append([]int(nil), t.vars...), W: t.w})
-	}
-	return out
 }
 
 // exprFromWire validates and rebuilds an expression over a model with n
@@ -155,7 +144,8 @@ func exprFromWire(m *Model, w wireExpr, n int, where string) (Expr, error) {
 }
 
 // MarshalJSON encodes the model in the canonical wire format. It fails on
-// a model with accumulated construction errors or no objective.
+// a model with accumulated construction errors or no objective, and on a
+// non-finite value (a bound, or weights that sum past the float range).
 func (m *Model) MarshalJSON() ([]byte, error) {
 	if err := m.Err(); err != nil {
 		return nil, err
@@ -166,24 +156,12 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	if !m.objSet {
 		return nil, fmt.Errorf("model: cannot encode a model with no objective")
 	}
-	w := wireModel{
-		Families:  make([]wireFamily, len(m.fams)),
-		Maximize:  m.max,
-		Objective: m.obj.toWire(),
-		Density:   m.density,
+	w := wireWriter{b: make([]byte, 0, m.wireSize())}
+	w.model(m)
+	if w.err != nil {
+		return nil, w.err
 	}
-	for i, f := range m.fams {
-		w.Families[i] = wireFamily{Name: f.name, N: f.n}
-	}
-	for _, c := range m.cons {
-		w.Constraints = append(w.Constraints, wireConstraint{
-			Name:  c.name,
-			Sense: c.sense.String(),
-			Expr:  c.expr.toWire(),
-			Bound: c.bound,
-		})
-	}
-	return json.Marshal(w)
+	return w.b, nil
 }
 
 // MaxWireVariables caps the total variable count a wire model may
@@ -201,20 +179,31 @@ const MaxWireVariables = 1 << 20
 // exactly like the model that was marshalled.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var w wireModel
-	if err := json.Unmarshal(data, &w); err != nil {
+	if err := decodeWire(data, &w); err != nil {
 		return err
 	}
+	fresh, err := fromWire(&w)
+	if err != nil {
+		return err
+	}
+	*m = *fresh
+	return nil
+}
+
+// fromWire validates a decoded wire model and builds the model it
+// declares.
+func fromWire(w *wireModel) (*Model, error) {
 	if len(w.Families) == 0 {
-		return fmt.Errorf("model: wire model declares no variable families")
+		return nil, fmt.Errorf("model: wire model declares no variable families")
 	}
 	total := 0
 	for _, f := range w.Families {
 		if f.N <= 0 {
-			return fmt.Errorf("model: wire family %q declares %d variables", f.Name, f.N)
+			return nil, fmt.Errorf("model: wire family %q declares %d variables", f.Name, f.N)
 		}
 		total += f.N
 		if total > MaxWireVariables {
-			return fmt.Errorf("model: wire model declares over %d variables", MaxWireVariables)
+			return nil, fmt.Errorf("model: wire model declares over %d variables", MaxWireVariables)
 		}
 	}
 	fresh := New()
@@ -222,11 +211,11 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		fresh.Binary(f.Name, f.N)
 	}
 	if err := fresh.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	obj, err := exprFromWire(fresh, w.Objective, fresh.vars, "objective")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if w.Maximize {
 		fresh.Maximize(obj)
@@ -243,14 +232,14 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		case GE.String():
 			sense = GE
 		default:
-			return fmt.Errorf("model: constraint %q has unknown sense %q", c.Name, c.Sense)
+			return nil, fmt.Errorf("model: constraint %q has unknown sense %q", c.Name, c.Sense)
 		}
 		if math.IsNaN(c.Bound) || math.IsInf(c.Bound, 0) {
-			return fmt.Errorf("model: constraint %q has a non-finite bound", c.Name)
+			return nil, fmt.Errorf("model: constraint %q has a non-finite bound", c.Name)
 		}
 		expr, err := exprFromWire(fresh, c.Expr, fresh.vars, fmt.Sprintf("constraint %q", c.Name))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		fresh.Constrain(c.Name, Constraint{expr: expr, sense: sense, bound: c.Bound})
 	}
@@ -258,10 +247,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		fresh.Density(w.Density)
 	}
 	if err := fresh.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	*m = *fresh
-	return nil
+	return fresh, nil
 }
 
 // Fingerprint returns a hash-stable hex digest of the model's canonical

@@ -224,12 +224,17 @@ func WithRacers(names ...string) Option {
 
 // WithInitial warm-starts the solve from the given assignment over the
 // decision variables (length N, entries 0/1). The saim and penalty
-// backends seed their first annealing run's state from it (slack bits are
-// completed greedily); parallel tempering seeds its coldest replica; the
-// GA injects the repaired assignment into its initial population. In every
-// case a feasible warm start also seeds the best-so-far, so the result is
-// never worse than the assignment supplied. The greedy, exact, and
-// high-order paths ignore it. The slice is not retained or mutated.
+// backends install it (slack bits completed greedily) as the state their
+// first annealing run continues from instead of a random one. Their β
+// schedule starts at 0, though, and at β = 0 the first sweep draws every
+// spin from noise alone, so the installed state does not shape that run:
+// for them the warm start acts only through the best-so-far and through
+// the random stream, which skips the draws of a random start. Parallel
+// tempering seeds its coldest replica; the GA injects the repaired
+// assignment into its initial population. In every case a feasible warm
+// start also seeds the best-so-far, so the result is never worse than the
+// assignment supplied. The greedy, exact, and high-order paths ignore it.
+// The slice is not retained or mutated.
 func WithInitial(assignment []int) Option {
 	return func(c *config) { c.initial = append([]int(nil), assignment...) }
 }

@@ -319,7 +319,7 @@ func (m *Manager) requeue(p pendingJob) {
 		return
 	}
 	mdl := model.New()
-	if err := json.Unmarshal(p.rec.Model, mdl); err != nil {
+	if err := mdl.UnmarshalJSON(p.rec.Model); err != nil {
 		fail(fmt.Errorf("journaled model: %w", err))
 		return
 	}
@@ -383,7 +383,7 @@ func (m *Manager) newRecoveredJob(p pendingJob, req Request, key string) *Job {
 // m.mu from Submit; an error rejects the submission, so an acknowledged
 // job is always re-creatable from the log.
 func (m *Manager) journalSubmitted(j *Job, limit time.Duration) error {
-	raw, err := json.Marshal(j.req.Model)
+	raw, err := j.req.Model.MarshalJSON()
 	if err != nil {
 		return err
 	}

@@ -184,7 +184,7 @@ func (m *Manager) stealOne(lease time.Duration) (*StolenJob, *Job, int, bool) {
 			putBack = append(putBack, j)
 			continue
 		}
-		raw, err := json.Marshal(j.req.Model)
+		raw, err := j.req.Model.MarshalJSON()
 		if err != nil {
 			j.unlock()
 			putBack = append(putBack, j)
