@@ -342,6 +342,18 @@ func TestStatuszEndpoint(t *testing.T) {
 	}
 }
 
+// A time_limit_ms beyond what a time.Duration holds is the client's error:
+// neither wraps around into a short or a default limit.
+func TestTimeLimitOverflowIsBadRequest(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{Workers: 1})
+	for _, ms := range []string{"18446744073710", "9223372036855"} {
+		resp, body := post(t, ts.URL+"/v1/jobs", `{"solver":"exact","options":{"time_limit_ms":`+ms+`},"model":`+knapWire+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("time_limit_ms %s: %d %s", ms, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestTimeLimitOverHTTP pins the wire deadline: a huge-budget job with
 // time_limit_ms finishes quickly reporting "time-limit".
 func TestTimeLimitOverHTTP(t *testing.T) {

@@ -310,8 +310,10 @@ func (n *Node) runStolen(ctx context.Context, victimAddr string, sj *service.Sto
 	}
 	release := func() { report(&service.RemoteResult{Released: true}) }
 
+	// The model's own decoder checks the bytes as it reads them;
+	// json.Unmarshal would scan them once more first.
 	mdl := model.New()
-	if err := json.Unmarshal(sj.Model, mdl); err != nil {
+	if err := mdl.UnmarshalJSON(sj.Model); err != nil {
 		report(&service.RemoteResult{Error: fmt.Sprintf("stolen model does not parse: %v", err)})
 		return
 	}

@@ -1,7 +1,9 @@
 package pbit
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/ising-machines/saim/internal/cpufeat"
@@ -235,6 +237,15 @@ func TestPackedWantMatchesWantSpin(t *testing.T) {
 						f[k], nz[k] = [...]float64{0, 5.06, -5.06, math.Nextafter(5.06, 6), math.Nextafter(-5.06, -6), 0}[k%6], 0
 					}
 				}
+				if trial%5 == 3 {
+					// p/q + noise within an ulp of 0, where any other
+					// rounding of p/q changes the decision.
+					beta = 1
+					for k := range f {
+						r := padeRatio(f[k])
+						nz[k] = [...]float64{-r, -math.Nextafter(r, math.Inf(1)), -math.Nextafter(r, math.Inf(-1))}[k%3]
+					}
+				}
 				var want uint64
 				for k := range f {
 					if wantSpin(beta*f[k], nz[k]) == 1 {
@@ -251,4 +262,131 @@ func TestPackedWantMatchesWantSpin(t *testing.T) {
 	}
 	vectorTiers(t, check)
 	t.Run("portable", func(t *testing.T) { check(t, "portable") })
+}
+
+// sweepCase is one dense window sweep's input: the window's J, noise,
+// fields and state words at one width.
+type sweepCase struct {
+	name   string
+	beta   float64
+	jdata  []float64
+	states []uint64
+	noise  []float64
+	fields []float64
+	// nf is the list length the case is built to reach, or −1.
+	nf int
+}
+
+// padeRatio is wantSpin's p/q, in its operation order.
+func padeRatio(x float64) float64 {
+	x2 := x * x
+	p := x * (135135 + x2*(17325+x2*(378+x2)))
+	q := 135135 + x2*(62370+x2*(3150+x2*28))
+	return p / q
+}
+
+// sweepCases returns the sweeps pinned for n spins at one width: β small
+// enough that every visit runs the Padé, a mixed β, and fields so large
+// that every visit is saturated — there from random states, from states
+// every lane keeps (an empty list) and from states every lane flips (a
+// full list); and a sweep with J = 0, whose fields stay put, with each
+// lane's noise set to −p/q or one ulp either side of it, so every
+// unsaturated decision sits on the edge wantSpin's rounding decides.
+func sweepCases(n, width int) []sweepCase {
+	src := rng.New(uint64(n*width)*43 + 11)
+	lanes := ^uint64(0) >> (Lanes - width)
+	randomStates := func() []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = src.Uint64() & lanes
+		}
+		return s
+	}
+	jdata := randomFloats(src, n*n, 1)
+	cases := []sweepCase{
+		{"pade", 1e-3, jdata, randomStates(), randomFloats(src, n*width, 1), randomFloats(src, n*width, 1), -1},
+		{"mixed", 1.5, jdata, randomStates(), randomFloats(src, n*width, 1), randomFloats(src, n*width, 6), -1},
+	}
+	// Saturated: |f| ≥ 1000 outlasts n ≤ 160 pulls of |J·δ| ≤ 2, so each
+	// lane's decision is the sign of its starting field.
+	sat := randomFloats(src, n*width, 1)
+	keep := make([]uint64, n)
+	for i := range keep {
+		for k := 0; k < width; k++ {
+			f := &sat[i*width+k]
+			*f = math.Copysign(1000+math.Abs(*f), *f)
+			if *f > 0 {
+				keep[i] |= 1 << k
+			}
+		}
+	}
+	flip := make([]uint64, n)
+	for i, s := range keep {
+		flip[i] = ^s & lanes
+	}
+	cases = append(cases,
+		sweepCase{"saturated", 1, jdata, randomStates(), randomFloats(src, n*width, 1), sat, -1},
+		sweepCase{"saturated, empty list", 1, jdata, keep, randomFloats(src, n*width, 1), sat, 0},
+		sweepCase{"saturated, full list", 1, jdata, flip, randomFloats(src, n*width, 1), sat, n},
+	)
+	edge := randomFloats(src, n*width, 4)
+	nz := make([]float64, n*width)
+	for i, f := range edge {
+		r := padeRatio(f)
+		nz[i] = [...]float64{-r, -math.Nextafter(r, math.Inf(1)), -math.Nextafter(r, math.Inf(-1))}[i%3]
+	}
+	return append(cases, sweepCase{"edge", 1, make([]float64, n*n), randomStates(), nz, edge, -1})
+}
+
+// The dense window sweep's dispatcher against the Go loop on the portable
+// kernels: under the AVX-512 tier sweepDense runs the whole sweep in one
+// kernel call, under AVX2 the Go loop on the AVX2 kernels. States, fields,
+// the δ blocks written over the noise and the list must match bit for bit,
+// at every width, for n from one spin (the odd last spin alone) to a
+// qkp-dense window's 160.
+func TestPackedSweepDenseDispatchMatchesGoLoop(t *testing.T) {
+	type sweepOut struct {
+		states        []uint64
+		flips         []int32
+		noise, fields []float64
+	}
+	run := func(tier string, c sweepCase, sweep func(float64, []float64, []uint64, []int32, []float64, []float64, bool) int) sweepOut {
+		out := sweepOut{
+			states: append([]uint64(nil), c.states...),
+			flips:  make([]int32, len(c.states)),
+			noise:  append([]float64(nil), c.noise...),
+			fields: append([]float64(nil), c.fields...),
+		}
+		for i := range out.flips {
+			out.flips[i] = -1 // no sweep may read past its list
+		}
+		var nf int
+		withTier(tier, func() { nf = sweep(c.beta, c.jdata, out.states, out.flips, out.noise, out.fields, true) })
+		out.flips = out.flips[:nf]
+		return out
+	}
+	vectorTiers(t, func(t *testing.T, tier string) {
+		for _, width := range kernelWidths {
+			for _, n := range []int{1, 2, 3, 4, 29, 64, 160} {
+				for _, c := range sweepCases(n, width) {
+					name := fmt.Sprintf("width %d, n %d, %s", width, n, c.name)
+					got := run(tier, c, sweepDense)
+					want := run("portable", c, sweepDenseGo)
+					if c.nf >= 0 && len(want.flips) != c.nf {
+						t.Fatalf("%s: the case lists %d flips, built for %d", name, len(want.flips), c.nf)
+					}
+					if !slices.Equal(got.flips, want.flips) {
+						t.Fatalf("%s: list %v, Go loop %v", name, got.flips, want.flips)
+					}
+					for i := range want.states {
+						if got.states[i] != want.states[i] {
+							t.Fatalf("%s: spin %d state %#x, Go loop %#x", name, i, got.states[i], want.states[i])
+						}
+					}
+					requireFieldsIdentical(t, name+": fields", got.fields, want.fields)
+					requireFieldsIdentical(t, name+": δ and noise blocks", got.noise, want.noise)
+				}
+			}
+		}
+	})
 }

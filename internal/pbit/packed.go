@@ -483,24 +483,39 @@ func (m *PackedMachine) recomputeWindow(win *window) {
 	}
 }
 
-// sweepWindow runs one Monte-Carlo sweep of one window, visiting the spins
-// in pairs (j, j+1), j even. Both blocks pull the sweep's flips before j
-// in one walk. Then, per spin in visit order: turn w wantSpin decisions
-// into a mask word with one packed threshold pass (saturation shortcut
-// preserved per lane), XOR the flips into the state word and, if any lane
-// flipped, write δ_i over i's spent noise block and list i; a flipped j
-// hands its flip to j+1's block, as the last term before j+1's pass. An
-// odd n leaves the last spin a one-block pull. One flush after the last
-// visit adds each spin's later flips, so the fields are exact again when
+// sweepWindow runs one Monte-Carlo sweep of one window: a fresh noise
+// batch, the visits (sweepDense), and one flush after the last visit,
+// which adds each spin's later flips, so the fields are exact again when
 // the sweep returns.
 //
 //saim:hotpath
 func (m *PackedMachine) sweepWindow(win *window, beta float64) {
-	w, n, fused := win.w, m.n, m.fused
 	win.fillNoise()
-	jdata, fields, noise, flips := m.model.J.Data(), win.fields, win.noise, win.flips
+	jdata := m.model.J.Data()
+	nf := sweepDense(beta, jdata, win.states, win.flips, win.noise, win.fields, m.fused)
+	flushDense(jdata, win.flips[:nf], win.noise, win.fields, win.w, m.fused)
+}
+
+// sweepDenseGo visits one window's n = len(states) spins in pairs (j,
+// j+1), j even, and returns how many flipped: they are listed, in visit
+// order, in flips[:nf]. Both blocks pull the sweep's flips before j in
+// one walk. Then, per spin in visit order: turn w wantSpin decisions into
+// a mask word with one packed threshold pass (saturation shortcut
+// preserved per lane), XOR the flips into the state word and, if any lane
+// flipped, write δ_i over i's spent noise block and list i; a flipped j
+// hands its flip to j+1's block, as the last term before j+1's pass. An
+// odd n leaves the last spin a one-block pull. It is the reference the
+// AVX-512 sweep kernel reproduces, and the loop every other tier runs.
+//
+//saim:hotpath
+func sweepDenseGo(beta float64, jdata []float64, states []uint64, flips []int32, noise, fields []float64, fused bool) int {
+	n := len(states)
+	if n == 0 {
+		return 0
+	}
+	w := len(fields) / n
 	nf := 0
-	for i, s := range win.states {
+	for i, s := range states {
 		base := i * w
 		field, nz := fields[base:base+w], noise[base:base+w]
 		paired := i+1 < n && i&1 == 0
@@ -512,7 +527,7 @@ func (m *PackedMachine) sweepWindow(win *window, beta float64) {
 		}
 		want := packedWant(beta, field, nz)
 		if fl := want ^ s; fl != 0 {
-			win.states[i] = want
+			states[i] = want
 			deltaBlock(fl, want, nz)
 			flips[nf] = int32(i)
 			nf++
@@ -521,7 +536,7 @@ func (m *PackedMachine) sweepWindow(win *window, beta float64) {
 			}
 		}
 	}
-	flushDense(jdata, flips[:nf], noise, fields, w, fused)
+	return nf
 }
 
 // LaneFieldConsistencyError returns the worst drift between lane r's

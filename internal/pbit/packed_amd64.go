@@ -14,7 +14,9 @@ import "github.com/ising-machines/saim/internal/cpufeat"
 // J·δ into its add, which rounds exactly as the separate multiply and add
 // whenever the product is exact: δ ∈ {+2, −2, 0} and |J| ≤ fusedBound, or
 // δ = ±1. Their dispatchers take that as the fused flag and otherwise run
-// the AVX2 bodies. The dispatchers read cpufeat.HasAVX512 and
+// the AVX2 bodies. sweepDense runs a whole dense window sweep's visits in
+// one AVX-512 call under the same flag, and otherwise the Go loop over
+// these dispatchers. The dispatchers read cpufeat.HasAVX512 and
 // cpufeat.HasAVX2 on every call; packed_test.go and dispatch_diff_test.go
 // force each tier and require identical results.
 
@@ -38,6 +40,9 @@ func flushDenseAVX2(jdata *float64, n int, flips *int32, nf int, deltas *float64
 
 //go:noescape
 func flushDenseAVX512(jdata *float64, n int, flips *int32, nf int, deltas *float64, fields *float64, width int)
+
+//go:noescape
+func sweepDenseAVX512(beta float64, jdata *float64, n int, states *uint64, flips *int32, noise *float64, fields *float64, width int) int
 
 //go:noescape
 func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, width int, d *[Lanes]float64, groups *int32, ng int)
@@ -145,6 +150,26 @@ func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float
 		return
 	}
 	flushDenseAVX2(jp, n, lp, len(flips), dp, fp, width)
+}
+
+// sweepDense runs one dense window sweep's visits under sweepDenseGo's
+// contract, reading the tier once per sweep. On AVX-512, when fused allows
+// the fused pulls, one kernel call runs every visit, holding each spin
+// pair's field blocks in registers from the pull to the store; every other
+// case runs the Go loop.
+//
+//saim:hotpath
+func sweepDense(beta float64, jdata []float64, states []uint64, flips []int32, noise, fields []float64, fused bool) int {
+	n := len(states)
+	if !cpufeat.HasAVX512 || !fused || n == 0 {
+		return sweepDenseGo(beta, jdata, states, flips, noise, fields, fused)
+	}
+	w := len(fields) / n
+	_ = jdata[n*n-1]
+	_ = flips[n-1]
+	_ = noise[n*w-1]
+	_ = fields[n*w-1]
+	return sweepDenseAVX512(beta, &jdata[0], n, &states[0], &flips[0], &noise[0], &fields[0], w)
 }
 
 // flipApplyCSR adds w·d to every active lane group of each width-lane

@@ -1,15 +1,18 @@
 // AVX-512 packed-sweep kernels: the AVX2 kernels of packed_amd64.s with
-// one zmm per octet of lanes (a window of width lanes is width/8 zmm). They
-// use AVX512F and AVX512DQ only, end in VZEROUPPER and leave BP alone.
-// packedWantAVX512 keeps the scalar floating-point operations exactly
-// (separate multiply and add, never FMA; the Padé nesting order and
+// one zmm per octet of lanes (a window of width lanes is width/8 zmm), plus
+// sweepDenseAVX512, which runs a whole dense window sweep's visits in one
+// call. They use AVX512F and AVX512DQ only, end in VZEROUPPER and leave BP
+// alone. The threshold steps keep the scalar floating-point operations
+// exactly (separate multiply and add, never FMA; the Padé nesting order and
 // VDIVPD). The dense pull and flush fuse each term's multiply and add,
-// which is exact for the operands they are given (see below), and the
-// pair kernels take two adjacent spins per list walk.
+// which is exact for the operands they are given (see below), and the pair
+// kernels take two adjacent spins per list walk. Each step's text exists
+// once, as a macro the standalone kernels and the sweep share.
 
 #include "textflag.h"
 
-// wantSpin saturation bounds and Padé coefficients, broadcast per call.
+// wantSpin saturation bounds and Padé coefficients, broadcast from memory
+// by the instructions that use them; ±2 are the flip deltas.
 DATA satHi<>+0(SB)/8, $0x40143d70a3d70a3d // 5.06
 GLOBL satHi<>(SB), RODATA, $8
 DATA satLo<>+0(SB)/8, $0xc0143d70a3d70a3d // -5.06
@@ -26,110 +29,124 @@ DATA c3150<>+0(SB)/8, $0x40a89c0000000000
 GLOBL c3150<>(SB), RODATA, $8
 DATA c28<>+0(SB)/8, $0x403c000000000000
 GLOBL c28<>(SB), RODATA, $8
+DATA two<>+0(SB)/8, $0x4000000000000000 // +2.0
+GLOBL two<>(SB), RODATA, $8
+DATA mtwo<>+0(SB)/8, $0xc000000000000000 // -2.0
+GLOBL mtwo<>(SB), RODATA, $8
+
+// Threshold steps: packedWantGo's decisions for one spin's window, one
+// octet of lanes per step. Z26 holds β broadcast and Z31 +0.0. An octet's
+// fields f are a zmm or a memory operand, its noise nz a memory operand,
+// and sh its bit position in the mask words (an immediate, or CX). R10
+// collects the hi mask (x > 5.06), R13 the saturated mask (x beyond
+// either rail) and R14 the want word; AX, Z27-Z30, K1 and K2 are scratch.
+
+// SAT: x = f·β, then the octet's hi and saturated bits.
+#define SAT(f, sh) \
+	VMULPD      f, Z26, Z27                 \
+	VCMPPD.BCST $0x1e, satHi<>(SB), Z27, K1 \
+	VCMPPD.BCST $0x11, satLo<>(SB), Z27, K2 \
+	KORB        K1, K2, K2                  \
+	KMOVB       K1, AX                      \
+	SHLQ        sh, AX                      \
+	ORQ         AX, R10                     \
+	KMOVB       K2, AX                      \
+	SHLQ        sh, AX                      \
+	ORQ         AX, R13
+
+// ALLSAT: R14 = hi, and a jump to done when every lane of the window is
+// saturated (the saturated mask equals the lane mask ^0 >> lshift); else
+// R14 = 0 for the Padé bits.
+#define ALLSAT(lshift, done) \
+	MOVQ R10, R14   \
+	MOVQ $-1, AX    \
+	SHRQ lshift, AX \
+	CMPQ R13, AX    \
+	JEQ  done       \
+	XORQ R14, R14
+
+// PADE: unless every lane of the octet is saturated, its p/q + noise >= 0
+// bits (GE_OQ, the scalar comparison), with x = f·β, x2 = x·x,
+// p = x·(135135 + x2·(17325 + x2·(378 + x2))) and
+// q = 135135 + x2·(62370 + x2·(3150 + x2·28)): wantSpin's nesting, every
+// multiply and add rounded on its own.
+#define PADE(f, nz, sh, skip) \
+	MOVQ        R13, AX                \
+	SHRQ        sh, AX                 \
+	ANDQ        $0xff, AX              \
+	CMPQ        AX, $0xff              \
+	JEQ         skip                   \
+	VMULPD      f, Z26, Z27            \
+	VMULPD      Z27, Z27, Z28          \
+	VADDPD.BCST c378<>(SB), Z28, Z29    \
+	VMULPD      Z28, Z29, Z29          \
+	VADDPD.BCST c17325<>(SB), Z29, Z29  \
+	VMULPD      Z28, Z29, Z29          \
+	VADDPD.BCST c135135<>(SB), Z29, Z29 \
+	VMULPD      Z27, Z29, Z29          \
+	VMULPD.BCST c28<>(SB), Z28, Z30     \
+	VADDPD.BCST c3150<>(SB), Z30, Z30   \
+	VMULPD      Z28, Z30, Z30          \
+	VADDPD.BCST c62370<>(SB), Z30, Z30  \
+	VMULPD      Z28, Z30, Z30          \
+	VADDPD.BCST c135135<>(SB), Z30, Z30 \
+	VDIVPD      Z30, Z29, Z29          \
+	VADDPD      nz, Z29, Z29           \
+	VCMPPD      $0x1d, Z31, Z29, K1    \
+	KMOVB       K1, AX                 \
+	SHLQ        sh, AX                 \
+	ORQ         AX, R14                \
+skip:
+
+// MERGE: saturated lanes drop their Padé bit and take their hi bit.
+#define MERGE \
+	NOTQ R13      \
+	ANDQ R13, R14 \
+	ORQ  R10, R14
 
 // func packedWantAVX512(beta float64, f, nz *float64, width int) uint64
 //
 // packedWantAVX2 with k-mask compares. Pass A collects, one octet per
-// zmm, the hi mask (x > 5.06) and the sat mask (|x| beyond either rail)
-// straight from the compare opmasks; a fully saturated window returns hi.
-// Pass B evaluates the Padé rational for each octet with an unsaturated
-// lane, adds the noise and sets want where p/q + noise >= 0 — the scalar
-// comparison itself. The saturated lanes are then overridden by mask:
-// want = (pade &^ sat) | hi.
+// zmm, the hi and saturated masks straight from the compare opmasks; a
+// fully saturated window returns hi. Pass B evaluates the Padé rational
+// for each octet with an unsaturated lane, adds the noise and sets want
+// where p/q + noise >= 0. The saturated lanes are then overridden by
+// mask: want = (pade &^ sat) | hi.
 TEXT ·packedWantAVX512(SB), NOSPLIT, $0-40
-	VBROADCASTSD beta+0(FP), Z0
+	VBROADCASTSD beta+0(FP), Z26
 	MOVQ         f+8(FP), SI
 	MOVQ         nz+16(FP), DX
 	MOVQ         width+24(FP), R12
-	VBROADCASTSD satHi<>(SB), Z1
-	VBROADCASTSD satLo<>(SB), Z2
-
-	// Pass A: octet o's hi and sat bits land at bit 8o of R10 and R11.
-	XORQ R10, R10
-	XORQ R11, R11
-	XORQ CX, CX   // bit position of the octet
-	MOVQ SI, R9
+	XORQ         R10, R10
+	XORQ         R13, R13
+	XORQ         CX, CX   // bit position of the octet
+	MOVQ         SI, R9
 
 scan:
-	VMULPD  (R9), Z0, Z3      // x = f·beta
-	VCMPPD  $0x1e, Z1, Z3, K1 // x > 5.06 (GT_OQ)
-	VCMPPD  $0x11, Z2, Z3, K2 // x < -5.06 (LT_OQ)
-	KORB    K1, K2, K2
-	KMOVB   K1, AX
-	KMOVB   K2, BX
-	SHLQ    CX, AX
-	SHLQ    CX, BX
-	ORQ     AX, R10
-	ORQ     BX, R11
-	ADDQ    $64, R9
-	ADDQ    $8, CX
-	CMPQ    CX, R12
-	JNE     scan
+	SAT((R9), CX)
+	ADDQ $64, R9
+	ADDQ $8, CX
+	CMPQ CX, R12
+	JNE  scan
 
-	// Every lane is saturated iff sat equals the window's lane mask,
-	// ^0 >> (64 − width).
-	MOVQ $64, CX
-	SUBQ R12, CX
-	MOVQ $-1, AX
-	SHRQ CX, AX
-	CMPQ R11, AX
-	JNE  pade
-	MOVQ R10, ret+32(FP) // every lane saturated: want = hi mask
-	VZEROUPPER
-	RET
-
-	// Pass B: a fully saturated octet is decided by hi and skips the
-	// VDIVPD; the others' p/q + noise >= 0 bits accumulate in R8.
-pade:
-	VBROADCASTSD c378<>(SB), Z20
-	VBROADCASTSD c17325<>(SB), Z21
-	VBROADCASTSD c135135<>(SB), Z22
-	VBROADCASTSD c28<>(SB), Z23
-	VBROADCASTSD c3150<>(SB), Z24
-	VBROADCASTSD c62370<>(SB), Z25
-	VPXORQ       Z9, Z9, Z9 // +0.0
-	XORQ         R8, R8
-	XORQ         CX, CX
+	MOVQ   $64, CX
+	SUBQ   R12, CX
+	ALLSAT(CX, done)
+	VPXORQ Z31, Z31, Z31
+	XORQ   CX, CX
 
 padeoctet:
-	MOVQ R11, AX
-	SHRQ CX, AX
-	ANDQ $0xff, AX
-	CMPQ AX, $0xff
-	JEQ  padenext
-
-	VMULPD  (SI), Z0, Z3 // x = f·beta
-	VMULPD  Z3, Z3, Z6   // x2
-	VADDPD  Z20, Z6, Z7  // 378 + x2
-	VMULPD  Z6, Z7, Z7
-	VADDPD  Z21, Z7, Z7
-	VMULPD  Z6, Z7, Z7
-	VADDPD  Z22, Z7, Z7
-	VMULPD  Z3, Z7, Z7   // p = x·(135135 + x2·(17325 + x2·(378 + x2)))
-	VMULPD  Z23, Z6, Z10 // x2·28
-	VADDPD  Z24, Z10, Z10
-	VMULPD  Z6, Z10, Z10
-	VADDPD  Z25, Z10, Z10
-	VMULPD  Z6, Z10, Z10
-	VADDPD  Z22, Z10, Z10 // q = 135135 + x2·(62370 + x2·(3150 + x2·28))
-	VDIVPD  Z10, Z7, Z7   // p/q
-	VADDPD  (DX), Z7, Z7  // + noise
-	VCMPPD  $0x1d, Z9, Z7, K1 // p/q + noise >= 0 (GE_OQ)
-	KMOVB   K1, AX
-	SHLQ    CX, AX
-	ORQ     AX, R8
-
-padenext:
+	PADE((SI), (DX), CX, padenext)
 	ADDQ $64, SI
 	ADDQ $64, DX
 	ADDQ $8, CX
 	CMPQ CX, R12
 	JNE  padeoctet
 
-	NOTQ R11
-	ANDQ R11, R8 // saturated lanes drop their Padé bit…
-	ORQ  R10, R8 // …and take their hi bit
-	MOVQ R8, ret+32(FP)
+	MERGE
+
+done:
+	MOVQ R14, ret+32(FP)
 	VZEROUPPER
 	RET
 
@@ -426,5 +443,217 @@ w8:
 	ZSPIN2(w8skip)
 
 done:
+	VZEROUPPER
+	RET
+
+// The dense window sweep: sweepDenseGo's visits in one call. Spins j and
+// j+1 (j even) load their blocks into Z0-Z7 and Z8-Z15 and pull the
+// sweep's earlier flips in one WALK2; j's threshold runs from Z0-Z7, and
+// a flip writes its state word and its δ octets (into Z16-Z23 and over
+// j's spent noise), lists j and adds J[j+1][j]·δ_j into Z8-Z15 (the
+// hand-off); j's block is stored, Z8-Z15 move to Z0-Z7, and j+1's
+// threshold and flip follow. An odd n's last spin loads one block and
+// pulls with WALK1. Every field block is loaded and stored once.
+//
+// Registers: SI = J row j, R8 = J row stride, R9 = &states[j], R11 = the
+// list's end (it grows as spins flip), R12 = block stride, DX = noise
+// base (δ_i's block during the walk), CX = spin j's noise block, DI = its
+// field block, BX = j. The walk uses R10, R13 and Z16-Z25, the threshold
+// R10, R13, R14 and Z26-Z31 (β in Z26 and +0.0 in Z31 for the whole
+// call); AX is scratch.
+
+// DELTA: one octet of δ into d and over the spent noise at off(CX): +2 in
+// the lanes R10 flags (flipping to +1), −2 in R14's (flipping to −1), +0
+// elsewhere, as deltaTab; then the next octet's flags.
+#define DELTA(d, off) \
+	KMOVB          R10, K1           \
+	KMOVB          R14, K2           \
+	VBROADCASTSD.Z two<>(SB), K1, d  \
+	VBROADCASTSD   mtwo<>(SB), K2, d \
+	VMOVUPD        d, off(CX)        \
+	SHRQ           $8, R10           \
+	SHRQ           $8, R14
+#define DELTA1 DELTA(Z16, 0)
+#define DELTA2 DELTA1; DELTA(Z17, 64)
+#define DELTA3 DELTA2; DELTA(Z18, 128)
+#define DELTA4 DELTA3; DELTA(Z19, 192)
+#define DELTA8 DELTA4; DELTA(Z20, 256); DELTA(Z21, 320); DELTA(Z22, 384); DELTA(Z23, 448)
+
+// The hand-off: block j+1 += J[j+1][j]·δ_j, fused as pullDenseAVX512
+// fuses it, with J[j+1][j] broadcast in Z25.
+#define HAND1 VFMADD231PD Z16, Z25, Z8
+#define HAND2 HAND1; VFMADD231PD Z17, Z25, Z9
+#define HAND3 HAND2; VFMADD231PD Z18, Z25, Z10
+#define HAND4 HAND3; VFMADD231PD Z19, Z25, Z11
+#define HAND8 HAND4; VFMADD231PD Z20, Z25, Z12; VFMADD231PD Z21, Z25, Z13; VFMADD231PD Z22, Z25, Z14; VFMADD231PD Z23, Z25, Z15
+
+// Block j+1 becomes the visited block.
+#define NEXT1 VMOVAPD Z8, Z0
+#define NEXT2 NEXT1; VMOVAPD Z9, Z1
+#define NEXT3 NEXT2; VMOVAPD Z10, Z2
+#define NEXT4 NEXT3; VMOVAPD Z11, Z3
+#define NEXT8 NEXT4; VMOVAPD Z12, Z4; VMOVAPD Z13, Z5; VMOVAPD Z14, Z6; VMOVAPD Z15, Z7
+
+// The visited spin's threshold from Z0-Z7 and its noise at CX, into R14;
+// one copy per width, each with its own labels.
+#define THRESH1 \
+	XORQ R10, R10                   \
+	XORQ R13, R13                   \
+	SAT(Z0, $0)                     \
+	ALLSAT($56, t8done)             \
+	PADE(Z0, (CX), $0, t8o0)        \
+	MERGE                           \
+t8done:
+
+#define THRESH2 \
+	XORQ R10, R10                   \
+	XORQ R13, R13                   \
+	SAT(Z0, $0); SAT(Z1, $8)        \
+	ALLSAT($48, t16done)            \
+	PADE(Z0, (CX), $0, t16o0)       \
+	PADE(Z1, 64(CX), $8, t16o1)     \
+	MERGE                           \
+t16done:
+
+#define THRESH3 \
+	XORQ R10, R10                   \
+	XORQ R13, R13                   \
+	SAT(Z0, $0); SAT(Z1, $8)        \
+	SAT(Z2, $16)                    \
+	ALLSAT($40, t24done)            \
+	PADE(Z0, (CX), $0, t24o0)       \
+	PADE(Z1, 64(CX), $8, t24o1)     \
+	PADE(Z2, 128(CX), $16, t24o2)   \
+	MERGE                           \
+t24done:
+
+#define THRESH4 \
+	XORQ R10, R10                   \
+	XORQ R13, R13                   \
+	SAT(Z0, $0); SAT(Z1, $8)        \
+	SAT(Z2, $16); SAT(Z3, $24)      \
+	ALLSAT($32, t32done)            \
+	PADE(Z0, (CX), $0, t32o0)       \
+	PADE(Z1, 64(CX), $8, t32o1)     \
+	PADE(Z2, 128(CX), $16, t32o2)   \
+	PADE(Z3, 192(CX), $24, t32o3)   \
+	MERGE                           \
+t32done:
+
+#define THRESH8 \
+	XORQ R10, R10                   \
+	XORQ R13, R13                   \
+	SAT(Z0, $0); SAT(Z1, $8)        \
+	SAT(Z2, $16); SAT(Z3, $24)      \
+	SAT(Z4, $32); SAT(Z5, $40)      \
+	SAT(Z6, $48); SAT(Z7, $56)      \
+	ALLSAT($0, t64done)             \
+	PADE(Z0, (CX), $0, t64o0)       \
+	PADE(Z1, 64(CX), $8, t64o1)     \
+	PADE(Z2, 128(CX), $16, t64o2)   \
+	PADE(Z3, 192(CX), $24, t64o3)   \
+	PADE(Z4, 256(CX), $32, t64o4)   \
+	PADE(Z5, 320(CX), $40, t64o5)   \
+	PADE(Z6, 384(CX), $48, t64o6)   \
+	PADE(Z7, 448(CX), $56, t64o7)   \
+	MERGE                           \
+t64done:
+
+// SWEEP is the sweep at one width, from its step macros, with its own
+// labels: pair starts spins j and j+1, last an odd n's last spin, visit
+// thresholds the spin in Z0-Z7 and kept stores its block and moves on.
+#define SWEEP(loadp, load, pairsteps, rowsteps, thresh, delta, hand, store, next, pair, last, walk2, walk1, visit, kept, nspins, list) \
+pair:                                   \
+	LEAQ         1(BX), AX          \
+	CMPQ         AX, nspins         \
+	JGE          last               \
+	loadp                           \
+	MOVQ         list, R10          \
+	CMPQ         R10, R11           \
+	JEQ          visit              \
+	LEAQ         (SI)(R8*1), R13    \
+	WALK2(pairsteps, walk2)         \
+	JMP          visit              \
+last:                                   \
+	CMPQ         BX, nspins         \
+	JEQ          done               \
+	load                            \
+	MOVQ         list, R10          \
+	CMPQ         R10, R11           \
+	JEQ          visit              \
+	WALK1(rowsteps, walk1)          \
+visit:                                  \
+	thresh                          \
+	MOVQ         (R9), AX           \
+	XORQ         R14, AX            \
+	JEQ          kept               \
+	MOVQ         R14, (R9)          \
+	MOVQ         R14, R10           \
+	ANDQ         AX, R10            \
+	NOTQ         R14                \
+	ANDQ         AX, R14            \
+	delta                           \
+	MOVL         BX, (R11)          \
+	ADDQ         $4, R11            \
+	TESTQ        $1, BX             \
+	JNE          kept               \
+	LEAQ         1(BX), AX          \
+	CMPQ         AX, nspins         \
+	JEQ          kept               \
+	LEAQ         (SI)(R8*1), AX     \
+	VBROADCASTSD (AX)(BX*8), Z25    \
+	hand                            \
+kept:                                   \
+	store                           \
+	ADDQ         $8, R9             \
+	ADDQ         R12, CX            \
+	ADDQ         R12, DI            \
+	ADDQ         R8, SI             \
+	INCQ         BX                 \
+	TESTQ        $1, BX             \
+	JEQ          pair               \
+	CMPQ         BX, nspins         \
+	JEQ          done               \
+	next                            \
+	JMP          visit
+
+// func sweepDenseAVX512(beta float64, jdata *float64, n int, states *uint64, flips *int32, noise *float64, fields *float64, width int) int
+//
+// One dense window sweep's visits (n ≥ 1, |J| ≤ fusedBound): the list
+// starts empty, and the call returns its length.
+TEXT ·sweepDenseAVX512(SB), NOSPLIT, $0-72
+	VBROADCASTSD beta+0(FP), Z26
+	VPXORQ       Z31, Z31, Z31
+	MOVQ         jdata+8(FP), SI
+	MOVQ         n+16(FP), R8
+	MOVQ         states+24(FP), R9
+	MOVQ         flips+32(FP), R11
+	MOVQ         noise+40(FP), DX
+	MOVQ         fields+48(FP), DI
+	MOVQ         width+56(FP), R12
+	SHLQ         $3, R8
+	SHLQ         $3, R12
+	MOVQ         DX, CX
+	XORQ         BX, BX
+	WIDTH
+	SWEEP(LOADP8, LOAD8, PAIR8, ROW8, THRESH8, DELTA8, HAND8, STORE8, NEXT8, w64pair, w64last, w64walk2, w64walk1, w64visit, w64kept, n+16(FP), flips+32(FP))
+
+w32:
+	SWEEP(LOADP4, LOAD4, PAIR4, ROW4, THRESH4, DELTA4, HAND4, STORE4, NEXT4, w32pair, w32last, w32walk2, w32walk1, w32visit, w32kept, n+16(FP), flips+32(FP))
+
+w24:
+	SWEEP(LOADP3, LOAD3, PAIR3, ROW3, THRESH3, DELTA3, HAND3, STORE3, NEXT3, w24pair, w24last, w24walk2, w24walk1, w24visit, w24kept, n+16(FP), flips+32(FP))
+
+w16:
+	SWEEP(LOADP2, LOAD2, PAIR2, ROW2, THRESH2, DELTA2, HAND2, STORE2, NEXT2, w16pair, w16last, w16walk2, w16walk1, w16visit, w16kept, n+16(FP), flips+32(FP))
+
+w8:
+	SWEEP(LOADP1, LOAD1, PAIR1, ROW1, THRESH1, DELTA1, HAND1, STORE1, NEXT1, w8pair, w8last, w8walk2, w8walk1, w8visit, w8kept, n+16(FP), flips+32(FP))
+
+done:
+	MOVQ flips+32(FP), AX
+	SUBQ AX, R11
+	SHRQ $2, R11
+	MOVQ R11, ret+64(FP)
 	VZEROUPPER
 	RET

@@ -27,6 +27,11 @@ func flushDense(jdata []float64, flips []int32, deltas []float64, fields []float
 }
 
 //saim:hotpath
+func sweepDense(beta float64, jdata []float64, states []uint64, flips []int32, noise, fields []float64, fused bool) int {
+	return sweepDenseGo(beta, jdata, states, flips, noise, fields, fused)
+}
+
+//saim:hotpath
 func flipApplyCSR(cols []int32, ws []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
 	flipApplyCSRGo(cols, ws, fields, width, d, groups)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -604,5 +605,32 @@ func TestWireOptions(t *testing.T) {
 	}
 	if _, _, err := (&SolveOptions{TimeLimitMS: -1}).Options(); err == nil {
 		t.Fatal("accepted a negative time limit")
+	}
+}
+
+// A time limit beyond what a time.Duration holds is rejected, not wrapped:
+// 18446744073710 ms used to lower to a 448.384 µs limit, and 9223372036855
+// ms to a negative one that Submit replaced with the manager default. The
+// longest representable limit still converts exactly.
+func TestWireOptionsTimeLimitOverflow(t *testing.T) {
+	for _, ms := range []int64{18446744073710, 9223372036855, math.MaxInt64} {
+		if _, limit, err := (&SolveOptions{TimeLimitMS: ms}).Options(); err == nil {
+			t.Fatalf("time_limit_ms %d: accepted as %v", ms, limit)
+		}
+	}
+	mgr := New(Config{Workers: 1})
+	defer mgr.Close(context.Background())
+	for _, ms := range []int64{18446744073710, 9223372036855} {
+		if _, err := mgr.Submit(Request{Model: knapModel(0), Solver: "exact", WireOptions: &SolveOptions{TimeLimitMS: ms}}); err == nil {
+			t.Fatalf("time_limit_ms %d: Submit accepted it", ms)
+		}
+	}
+	const longest = 9223372036854
+	_, limit, err := (&SolveOptions{TimeLimitMS: longest}).Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit != longest*time.Millisecond {
+		t.Fatalf("time_limit_ms %d lowered to %v", int64(longest), limit)
 	}
 }

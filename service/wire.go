@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	saim "github.com/ising-machines/saim"
@@ -49,6 +50,10 @@ type SolveOptions struct {
 	Racers []string `json:"racers,omitempty"`
 }
 
+// maxTimeLimitMS is the longest time limit a time.Duration holds, in
+// whole milliseconds; anything longer would wrap around when converted.
+const maxTimeLimitMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Options lowers the wire form onto the functional option list. The
 // returned TimeLimit (from TimeLimitMS) is reported separately so the
 // manager can fold in its default; it is NOT included in the options.
@@ -95,6 +100,9 @@ func (o *SolveOptions) Options() ([]saim.Option, time.Duration, error) {
 	}
 	if o.TimeLimitMS < 0 {
 		return nil, 0, fmt.Errorf("service: negative time limit %d ms", o.TimeLimitMS)
+	}
+	if o.TimeLimitMS > maxTimeLimitMS {
+		return nil, 0, fmt.Errorf("service: time limit %d ms exceeds the longest duration (%d ms)", o.TimeLimitMS, maxTimeLimitMS)
 	}
 	if o.NodeLimit != 0 {
 		opts = append(opts, saim.WithNodeLimit(o.NodeLimit))
