@@ -8,6 +8,7 @@
 package saim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"github.com/ising-machines/saim/internal/experiments"
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/lagrange"
+	"github.com/ising-machines/saim/internal/maxcut"
 	"github.com/ising-machines/saim/internal/pbit"
 	"github.com/ising-machines/saim/internal/qkp"
 	"github.com/ising-machines/saim/internal/rng"
@@ -296,26 +298,94 @@ func BenchmarkAblationCapacity(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepSparseVsDense compares the dense sweep against the CSR
-// sweep at 25% coupling density (the sparse-IM design point of the paper's
-// ref [10]); the gap here sets the auto-selection threshold of DESIGN.md §5.
+// BenchmarkSweepSparseVsDense times one annealing run of the dense and
+// the CSR machine — 100 sweeps, β from 0 to 10, the ramp serve jobs run —
+// on a normalized N = 200 QKP objective at each pair density from 5% to
+// 90%. Where the CSR run stops being the faster one sets the
+// auto-selection threshold of DESIGN.md §5.2. It anneals rather than
+// sweeping at one β: at β = 1 on the raw objective over 90% of the visits
+// are saturated and about 3% flip, a regime no solve anneals through.
 func BenchmarkSweepSparseVsDense(b *testing.B) {
-	inst := qkp.Generate(200, 0.25, 1, 3)
-	model := inst.ToProblem(constraint.Binary).Objective.ToIsing()
-	b.Run("dense", func(b *testing.B) {
-		m := pbit.New(model, rng.New(1))
-		m.Randomize()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Sweep(1.0)
+	sched := schedule.Linear{Start: 0, End: 10}
+	for _, d := range []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9} {
+		obj := qkp.Generate(200, d, 1, 3).ToProblem(constraint.Binary).Objective
+		obj.Normalize()
+		model := obj.ToIsing()
+		final := ising.NewSpins(model.N())
+		for _, kind := range []struct {
+			name string
+			m    interface {
+				AnnealInto(ising.Spins, schedule.Schedule, int)
+			}
+		}{
+			{"dense", pbit.New(model, rng.New(1))},
+			{"sparse", pbit.NewSparse(model, rng.New(1))},
+		} {
+			b.Run(fmt.Sprintf("d=%v/%s", d, kind.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kind.m.AnnealInto(final, sched, 100)
+				}
+			})
 		}
-	})
-	b.Run("sparse", func(b *testing.B) {
-		m := pbit.NewSparse(model, rng.New(1))
-		m.Randomize()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Sweep(1.0)
+	}
+}
+
+// jobModels builds the two serve job shapes through Builder, whose Model
+// normalizes them exactly as a submitted job's model is: a max-cut on
+// G(200, 3/199) with integer weights in [1, 10] (unconstrained, so a CSR
+// machine sweeps it) and a QKP at N = 40, d = 0.5 (its capacity penalty
+// makes J dense, so the dense machine sweeps it).
+func jobModels(b *testing.B) map[string]*Model {
+	g := maxcut.ErdosRenyi(200, 3.0/199, 10, 11)
+	cut := NewBuilder(g.N)
+	for _, e := range g.Edges {
+		cut.Linear(e.U, -e.W).Linear(e.V, -e.W).Quadratic(e.U, e.V, 2*e.W)
+	}
+	inst := qkp.Generate(40, 0.5, 0, 12)
+	knap := NewBuilder(inst.N).Density(inst.Density)
+	weights := make([]float64, inst.N)
+	for i := 0; i < inst.N; i++ {
+		knap.Linear(i, -float64(inst.H[i]))
+		for j := i + 1; j < inst.N; j++ {
+			if w := inst.W[i][j]; w != 0 {
+				knap.Quadratic(i, j, -float64(w))
+			}
 		}
-	})
+		weights[i] = float64(inst.A[i])
+	}
+	knap.ConstrainLE(weights, float64(inst.B))
+	models := map[string]*Model{}
+	for name, bl := range map[string]*Builder{"maxcut": cut, "qkp": knap} {
+		m, err := bl.Model()
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[name] = m
+	}
+	return models
+}
+
+// BenchmarkJobSolve times one SolveModel of each serve job shape at its
+// serve budget (L3): the max-cut at 6 runs of 150 sweeps and βmax 10, the
+// QKP at the paper's α = 2 with η = 80 over 60 runs of 100 sweeps. Both
+// run on one scalar p-bit machine, so this is the scalar sweep in the
+// regime serve jobs anneal through, from β = 0 to saturation.
+func BenchmarkJobSolve(b *testing.B) {
+	models := jobModels(b)
+	for _, job := range []struct {
+		name string
+		opts []Option
+	}{
+		{"maxcut", []Option{WithIterations(6), WithSweepsPerRun(150), WithBetaMax(10)}},
+		{"qkp", []Option{WithAlpha(2), WithEta(80), WithBetaMax(10), WithIterations(60), WithSweepsPerRun(100)}},
+	} {
+		b.Run(job.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := append([]Option{WithSeed(uint64(i) + 1)}, job.opts...)
+				if _, err := SolveModel(context.Background(), "saim", models[job.name], opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

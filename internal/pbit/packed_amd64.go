@@ -16,9 +16,11 @@ import "github.com/ising-machines/saim/internal/cpufeat"
 // δ = ±1. Their dispatchers take that as the fused flag and otherwise run
 // the AVX2 bodies. sweepDense runs a whole dense window sweep's visits in
 // one AVX-512 call under the same flag, and otherwise the Go loop over
-// these dispatchers. The dispatchers read cpufeat.HasAVX512 and
-// cpufeat.HasAVX2 on every call; packed_test.go and dispatch_diff_test.go
-// force each tier and require identical results.
+// these dispatchers. axpy, the scalar dense machine's flip, and
+// packedWant, which the scalar block sweeps call too, serve Machine and
+// SparseMachine as well. The dispatchers read cpufeat.HasAVX512 and
+// cpufeat.HasAVX2 on every call; packed_test.go, dispatch_diff_test.go
+// and scalar_sweep_test.go force each tier and require identical results.
 
 //go:noescape
 func packedWantAVX2(beta float64, f, nz *float64, width int) uint64
@@ -43,6 +45,12 @@ func flushDenseAVX512(jdata *float64, n int, flips *int32, nf int, deltas *float
 
 //go:noescape
 func sweepDenseAVX512(beta float64, jdata *float64, n int, states *uint64, flips *int32, noise *float64, fields *float64, width int) int
+
+//go:noescape
+func axpyAVX2(a float64, x, y *float64, n int)
+
+//go:noescape
+func axpyAVX512(a float64, x, y *float64, n int)
 
 //go:noescape
 func flipApplyCSRAVX2(cols *int32, ws *float64, nnz int, fields *float64, width int, d *[Lanes]float64, groups *int32, ng int)
@@ -170,6 +178,23 @@ func sweepDense(beta float64, jdata []float64, states []uint64, flips []int32, n
 	_ = noise[n*w-1]
 	_ = fields[n*w-1]
 	return sweepDenseAVX512(beta, &jdata[0], n, &states[0], &flips[0], &noise[0], &fields[0], w)
+}
+
+// axpy adds x·a into y, element by element (len(y) ≥ len(x)): the scalar
+// dense machine's flip propagation, rounded exactly as axpyGo.
+//
+//saim:hotpath
+func axpy(a float64, x, y []float64) {
+	if !cpufeat.HasAVX2 || len(x) == 0 {
+		axpyGo(a, x, y)
+		return
+	}
+	y = y[:len(x)]
+	if cpufeat.HasAVX512 {
+		axpyAVX512(a, &x[0], &y[0], len(x))
+		return
+	}
+	axpyAVX2(a, &x[0], &y[0], len(x))
 }
 
 // flipApplyCSR adds w·d to every active lane group of each width-lane

@@ -1,4 +1,5 @@
-// AVX2 packed-sweep kernels. Each processes 4 lanes per ymm vector over
+// AVX2 packed-sweep kernels, and axpyAVX2, the scalar dense machine's
+// flip (at the end). Each packed kernel processes 4 lanes per ymm vector over
 // one lane window: width lanes (8, 16, 24, 32 or 64) per spin block,
 // width/4 groups, blocks at a stride of width·8 bytes. Floating-point
 // operation order matches the scalar wantSpin / flip kernels exactly
@@ -475,4 +476,53 @@ loop:
 	JNE     loop
 
 done:
+	RET
+
+// func axpyAVX2(a float64, x, y *float64, n int)
+//
+// The scalar dense machine's flip: y[j] = x[j]·a + y[j] for j < n, two
+// ymm of four lanes per step, then one lane at a time. Each product and
+// each sum is rounded on its own (VMULPD then VADDPD, never FMA) with the
+// product as the add's first operand, which is the MULSD/ADDSD pair gc
+// compiles axpyGo's loop body to, so y matches it bit for bit. Every
+// instruction is VEX-encoded: a legacy SSE instruction after a ymm write
+// costs a state transition on every call.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSD a+0(FP), Y0
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX // lanes the two-ymm steps cover
+	JE           tail
+
+wide:
+	VMOVUPD (SI)(AX*8), Y1
+	VMOVUPD 32(SI)(AX*8), Y2
+	VMULPD  Y0, Y1, Y1
+	VMULPD  Y0, Y2, Y2
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VADDPD  32(DI)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JNE     wide
+
+tail:
+	CMPQ AX, CX
+	JE   done
+
+one:
+	VMOVSD (SI)(AX*8), X1
+	VMULSD X0, X1, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JNE    one
+
+done:
+	VZEROUPPER
 	RET

@@ -1,7 +1,8 @@
 // AVX-512 packed-sweep kernels: the AVX2 kernels of packed_amd64.s with
 // one zmm per octet of lanes (a window of width lanes is width/8 zmm), plus
 // sweepDenseAVX512, which runs a whole dense window sweep's visits in one
-// call. They use AVX512F and AVX512DQ only, end in VZEROUPPER and leave BP
+// call, and axpyAVX512, the scalar dense machine's flip (at the end).
+// They use AVX512F and AVX512DQ only, end in VZEROUPPER and leave BP
 // alone. The threshold steps keep the scalar floating-point operations
 // exactly (separate multiply and add, never FMA; the Padé nesting order and
 // VDIVPD). The dense pull and flush fuse each term's multiply and add,
@@ -655,5 +656,46 @@ done:
 	SUBQ AX, R11
 	SHRQ $2, R11
 	MOVQ R11, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// func axpyAVX512(a float64, x, y *float64, n int)
+//
+// axpyAVX2 one zmm of eight lanes per step; the last n mod 8 lanes run
+// as one masked step, whose masked-off lanes are neither loaded nor
+// stored. Multiply then add, never FMA, the product first: axpyGo's
+// rounding bit for bit.
+TEXT ·axpyAVX512(SB), NOSPLIT, $0-32
+	VBROADCASTSD a+0(FP), Z0
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-8, DX // lanes the full steps cover
+	JE           tail
+
+wide:
+	VMOVUPD (SI)(AX*8), Z1
+	VMULPD  Z0, Z1, Z1
+	VADDPD  (DI)(AX*8), Z1, Z1
+	VMOVUPD Z1, (DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, DX
+	JNE     wide
+
+tail:
+	SUBQ AX, CX // n mod 8 lanes left
+	JE   done
+	MOVQ $1, DX
+	SHLQ CX, DX
+	DECQ DX
+	KMOVB DX, K1
+	VMOVUPD.Z (SI)(AX*8), K1, Z1
+	VMULPD    Z0, Z1, K1, Z1
+	VADDPD    (DI)(AX*8), Z1, K1, Z1
+	VMOVUPD   Z1, K1, (DI)(AX*8)
+
+done:
 	VZEROUPPER
 	RET

@@ -2,13 +2,14 @@ package pbit
 
 import "math/bits"
 
-// Portable bodies of the packed-sweep primitives. On amd64 the dispatchers
-// in packed_amd64.go route to hand-written AVX-512 or AVX2 kernels; these
-// Go bodies are the reference implementation, the non-amd64 path, and the
-// differential-test oracle (packed_test.go and dispatch_diff_test.go run
-// every tier and require identical results). Every kernel works on one
-// lane window: field blocks of `width` lanes (8, 16, 24, 32 or 64) at
-// stride width.
+// Portable bodies of the packed-sweep primitives, and of axpy, the scalar
+// dense machine's flip. On amd64 the dispatchers in packed_amd64.go route
+// to hand-written AVX-512 or AVX2 kernels; these Go bodies are the
+// reference implementation, the non-amd64 path, and the differential-test
+// oracle (packed_test.go, dispatch_diff_test.go and scalar_sweep_test.go
+// run every tier and require identical results). Every packed kernel
+// works on one lane window: field blocks of `width` lanes (8, 16, 24, 32
+// or 64) at stride width.
 
 // packedWantGo evaluates the p-bit update rule for the len(f) lanes of one
 // spin: bit k of the result is set iff wantSpin(beta·f[k], nz[k]) == +1.
@@ -119,6 +120,19 @@ func buildDeltas(fl, want uint64, d *[Lanes]float64, groups *[laneGroups]int32) 
 		fl &^= 0xF << (g * 4)
 	}
 	return ng
+}
+
+// axpyGo adds x·a into y, element by element (len(y) ≥ len(x)): the
+// scalar dense machine's flip propagation, y[j] += x[j]·a, each product
+// and sum rounded on its own (gc emits MULSD then ADDSD, at every GOAMD64
+// level).
+//
+//saim:hotpath
+func axpyGo(a float64, x, y []float64) {
+	y = y[:len(x)]
+	for j, v := range x {
+		y[j] += v * a
+	}
 }
 
 // flipApplyCSRGo propagates one spin's flip to every lane's fields over

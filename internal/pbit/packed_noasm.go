@@ -32,6 +32,11 @@ func sweepDense(beta float64, jdata []float64, states []uint64, flips []int32, n
 }
 
 //saim:hotpath
+func axpy(a float64, x, y []float64) {
+	axpyGo(a, x, y)
+}
+
+//saim:hotpath
 func flipApplyCSR(cols []int32, ws []float64, fields []float64, width int, d *[Lanes]float64, groups []int32) {
 	flipApplyCSRGo(cols, ws, fields, width, d, groups)
 }

@@ -28,6 +28,7 @@ package pbit
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
@@ -156,20 +157,16 @@ func (m *Machine) UpdateBiases(newH vecmat.Vec) {
 // Invariant: on entry field[j] == Σ_k J_jk·state[k] + h[j] for every j;
 // flipping state[i] changes each field[j] by J_ji·(new−old) = −2·old·J_ji,
 // so adding w·delta row-wise restores the invariant without recomputation.
-// The loop is deliberately unconditional — adding w·delta for zero weights
-// is a no-op, and dropping the zero test keeps the loop branch-free so it
-// vectorizes (see DESIGN.md §5.1).
+// The row is added unconditionally — adding w·delta for a zero weight
+// changes no decision — by axpy, whose vector bodies round each
+// product and sum on their own, as gc's scalar MULSD/ADDSD loop does (gc
+// never vectorizes that loop; see DESIGN.md §5.1).
 //
 //saim:hotpath
 func (m *Machine) flip(i int) {
 	old := m.state[i]
 	m.state[i] = -old
-	delta := float64(-2 * old) // new - old ∈ {-2, +2}
-	row := m.model.J.Row(i)
-	field := m.field[:len(row)]
-	for j, w := range row {
-		field[j] += w * delta
-	}
+	axpy(float64(-2*old), m.model.J.Row(i), m.field) // new - old ∈ {-2, +2}
 }
 
 // tanhApprox evaluates tanh via a clamped rational approximation. The p-bit
@@ -220,13 +217,47 @@ func wantSpin(x, noise float64) int8 {
 	return -1
 }
 
+// sweepBlock is the scalar sweeps' block width, in spins: each block's
+// decisions come from one packedWant call. A dense flip moves every later
+// field, so it re-decides the rest of its block, and a CSR flip re-decides
+// its stored neighbours left in the block; wider blocks save calls where
+// flips are rare but redo more after each flip. 16 was the fastest width
+// of 8, 16, 32 and 64 on both serve job shapes (DESIGN.md §5.1, §5.2).
+const sweepBlock = 16
+
+// spinWord packs a block of spins, a whole number of octets and at most
+// 64, into a word: bit k is set iff s[k] = +1, packedWant's bit order.
+// Each octet is read as one little-endian word (gc combines the eight
+// byte loads into one), whose bytes are 0x01 for +1 and 0xff for −1; the
+// multiply gathers the eight inverted sign bits into its top byte, every
+// partial product at a distinct bit, so nothing carries.
+//
+//saim:hotpath
+func spinWord(s ising.Spins) uint64 {
+	var w uint64
+	for o := 0; o+8 <= len(s); o += 8 {
+		b := s[o : o+8 : o+8]
+		x := uint64(uint8(b[0])) | uint64(uint8(b[1]))<<8 | uint64(uint8(b[2]))<<16 | uint64(uint8(b[3]))<<24 |
+			uint64(uint8(b[4]))<<32 | uint64(uint8(b[5]))<<40 | uint64(uint8(b[6]))<<48 | uint64(uint8(b[7]))<<56
+		w |= (^x & 0x8080808080808080 >> 7) * 0x0102040810204080 >> 56 << o
+	}
+	return w
+}
+
 // Sweep performs one Monte-Carlo sweep (MCS): a sequential pass updating
 // every p-bit once with inverse temperature beta, per paper eq. 10.
 //
 // The per-spin noise is pre-drawn in one batch (same stream order as
-// drawing inside the loop, so trajectories are unchanged), wantSpin's
-// saturation shortcut skips the Padé polynomial for frozen spins, and the
-// loop body indexes re-sliced buffers so bounds checks are hoisted.
+// drawing inside the loop, so trajectories are unchanged). The spins are
+// then decided a block of up to sweepBlock at a time, a whole number of
+// octets: one packedWant call gives the block's wantSpin decisions, and its
+// spins flip in visit order, the lowest one whose decision differs from
+// its state first. A flip moves every later field, so the block's lanes
+// after it are decided again (from the octet holding the next spin) before
+// the next one is read. A decision is thus only ever used while the field
+// it was made from is the spin's field at its visit, which makes the walk
+// the per-spin loop's trajectory bit for bit (DESIGN.md §5.1). The last
+// n mod 8 spins run the per-spin loop itself.
 //
 //saim:hotpath
 func (m *Machine) Sweep(beta float64) {
@@ -239,7 +270,24 @@ func (m *Machine) Sweep(beta float64) {
 	m.src.FillSym(noise)
 	state := m.state[:n]
 	field := m.field[:n]
-	for i := 0; i < n; i++ {
+	i := 0
+	for i+8 <= n {
+		w := min(sweepBlock, (n-i)&^7)
+		f, nz := field[i:i+w], noise[i:i+w]
+		cur := spinWord(state[i : i+w])
+		for diff := packedWant(beta, f, nz) ^ cur; diff != 0; {
+			k := bits.TrailingZeros64(diff)
+			m.flip(i + k)
+			cur ^= 1 << k
+			o := (k + 1) &^ 7
+			if o == w {
+				break
+			}
+			diff = (packedWant(beta, f[o:], nz[o:])<<o ^ cur) & (^uint64(1) << k)
+		}
+		i += w
+	}
+	for ; i < n; i++ {
 		if want := wantSpin(beta*field[i], noise[i]); want != state[i] {
 			m.flip(i)
 		}

@@ -2,6 +2,7 @@ package pbit
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/ising-machines/saim/internal/ising"
 	"github.com/ising-machines/saim/internal/rng"
@@ -175,9 +176,13 @@ func (m *SparseMachine) flip(i int) {
 	}
 }
 
-// Sweep performs one sequential Monte-Carlo sweep (paper eq. 10). The
-// structure mirrors Machine.Sweep: batch-drawn noise, wantSpin's
-// saturation shortcut, bounds-check-free buffers.
+// Sweep performs one sequential Monte-Carlo sweep (paper eq. 10), the
+// block walk of Machine.Sweep. A CSR flip moves only its stored
+// neighbours' fields, so flipping spin k walks k's row once: each
+// neighbour's field takes the flip (flip's arithmetic, inline), and a
+// neighbour that lies after k in the block is decided again, with
+// wantSpin, from its new field. Every other decision of the block is kept
+// (DESIGN.md §5.2).
 //
 //saim:hotpath
 func (m *SparseMachine) Sweep(beta float64) {
@@ -190,7 +195,33 @@ func (m *SparseMachine) Sweep(beta float64) {
 	m.src.FillSym(noise)
 	state := m.state[:n]
 	field := m.field[:n]
-	for i := 0; i < n; i++ {
+	i := 0
+	for i+8 <= n {
+		w := min(sweepBlock, (n-i)&^7)
+		want := packedWant(beta, field[i:i+w], noise[i:i+w])
+		cur := spinWord(state[i : i+w])
+		for diff := want ^ cur; diff != 0; {
+			k := bits.TrailingZeros64(diff)
+			old := state[i+k]
+			state[i+k] = -old
+			delta := float64(-2 * old)
+			cur ^= 1 << k
+			cols, ws := m.row(i + k)
+			for e, j := range cols {
+				field[j] += ws[e] * delta
+				if d := int(j) - i; uint(d-k-1) < uint(w-k-1) {
+					if wantSpin(beta*field[j], noise[j]) == 1 {
+						want |= 1 << d
+					} else {
+						want &^= 1 << d
+					}
+				}
+			}
+			diff = (want ^ cur) & (^uint64(1) << k)
+		}
+		i += w
+	}
+	for ; i < n; i++ {
 		if want := wantSpin(beta*field[i], noise[i]); want != state[i] {
 			m.flip(i)
 		}
