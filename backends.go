@@ -198,6 +198,10 @@ func (s *saimSolver) solveQuadratic(ctx context.Context, m *Model, cfg config) (
 }
 
 func (s *saimSolver) solveHighOrder(ctx context.Context, m *Model, cfg config) (*Result, error) {
+	init, err := initialBits(m, cfg)
+	if err != nil {
+		return nil, err
+	}
 	res, err := hoim.SolveConstrainedContext(ctx, m.hobj, m.hcons, 1e-9, hoim.Options{
 		P:            cfg.penalty,
 		Eta:          cfg.eta,
@@ -208,6 +212,8 @@ func (s *saimSolver) solveHighOrder(ctx context.Context, m *Model, cfg config) (
 		Progress:     progressAdapter("saim", cfg.progress),
 		TargetCost:   cfg.targetCost,
 		Patience:     cfg.patience,
+		Initial:      init,
+		Checkpoint:   checkpointAdapter(cfg.checkpoint),
 	})
 	if err != nil {
 		return nil, err

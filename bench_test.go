@@ -107,37 +107,6 @@ func benchModel(n int, seed uint64) *ising.Model {
 	return prob.Objective.ToIsing()
 }
 
-// BenchmarkSweepIncremental measures one Gibbs sweep with incremental
-// local-field maintenance (the production path).
-func BenchmarkSweepIncremental(b *testing.B) {
-	model := benchModel(100, 3)
-	m := pbit.New(model, rng.New(1))
-	m.Randomize()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Sweep(1.0)
-	}
-}
-
-// BenchmarkSweepNaive measures the same sweep if every p-bit recomputed its
-// local field from scratch — the design BenchmarkSweepIncremental avoids.
-func BenchmarkSweepNaive(b *testing.B) {
-	model := benchModel(100, 3)
-	src := rng.New(1)
-	s := ising.NewSpins(model.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < model.N(); j++ {
-			input := model.LocalField(s, j) // O(N) recomputation per p-bit
-			if input+src.Sym() >= 0 {
-				s[j] = 1
-			} else {
-				s[j] = -1
-			}
-		}
-	}
-}
-
 // BenchmarkReprogram measures the λ→bias reprogramming step of one SAIM
 // iteration (BiasDelta + UpdateBiases), which must stay O(N·M) — not O(N²).
 func BenchmarkReprogram(b *testing.B) {
@@ -192,21 +161,6 @@ func BenchmarkSlackEncodings(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkGibbsSweepSizes maps the O(N²) sweep scaling used to pick the
-// reduced-preset instance sizes.
-func BenchmarkGibbsSweepSizes(b *testing.B) {
-	for _, n := range []int{50, 100, 200, 300} {
-		model := benchModel(n, 7)
-		m := pbit.New(model, rng.New(1))
-		m.Randomize()
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m.Sweep(1.0)
 			}
 		})
 	}

@@ -73,7 +73,9 @@
 // catalog of ready-made workloads (knapsack, max-cut, coloring,
 // assignment, scheduling, portfolio, set cover) built on it, each pairing
 // a declarative model with a typed decoder. WithInitial warm-starts the
-// saim, penalty, pt, and ga backends from a known-good assignment.
+// saim, penalty, pt, and ga backends from a known-good assignment: saim
+// and penalty keep it as their best-so-far seed, pt and ga also search
+// from it.
 //
 // The module also ships the paper's full benchmark suites (quadratic and
 // multidimensional knapsack problems), the penalty-method, parallel-

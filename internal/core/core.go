@@ -48,22 +48,18 @@ import (
 // Machine is the Ising-machine contract SAIM needs: an annealer that
 // re-programs its bias vector between runs, takes a fresh randomness
 // source per solve, and writes each run's final configuration into a
-// caller-owned buffer, starting from a random state or from one it was
-// given. Both p-bit machines of package pbit implement it; the engine runs
-// a Machine as a one-lane kernel (see lanes).
+// caller-owned buffer, every run starting from a random state. Both p-bit
+// machines of package pbit implement it; the engine runs a Machine as a
+// one-lane kernel (see lanes).
 type Machine interface {
 	// UpdateBiases re-programs the field vector h of the machine's model.
 	UpdateBiases(h vecmat.Vec)
 	// Reseed replaces the randomness source; every solve reseeds before
 	// its first run, so one machine serves many solves.
 	Reseed(src *rng.Source)
-	// SetState installs a configuration (the warm start).
-	SetState(s ising.Spins)
 	// AnnealInto runs one annealing run of the given number of sweeps from
 	// a fresh random state and writes the final configuration into dst.
 	AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
-	// AnnealFromInto is AnnealInto from the current configuration.
-	AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int)
 }
 
 // MachineFactory builds a Machine for a concrete Hamiltonian. The model's
@@ -110,12 +106,10 @@ func (k MachineKind) String() string {
 type PackedMode int
 
 const (
-	// PackedAuto (the default) packs whenever a solve is eligible: no
-	// custom MachineFactory and at least pbit.Lanes (64) replicas.
-	PackedAuto PackedMode = iota
-	// PackedOn behaves as PackedAuto: it packs every eligible solve, and
-	// custom factories run one-lane replicas.
-	PackedOn
+	// PackedOn (the default) packs whenever a solve is eligible: no
+	// custom MachineFactory and at least pbit.Lanes (64) replicas. Custom
+	// factories run one-lane replicas.
+	PackedOn PackedMode = iota
 	// PackedOff runs every replica as a one-lane task on a scalar machine.
 	PackedOff
 )
@@ -123,8 +117,6 @@ const (
 // String implements fmt.Stringer.
 func (p PackedMode) String() string {
 	switch p {
-	case PackedAuto:
-		return "auto"
 	case PackedOn:
 		return "on"
 	case PackedOff:
@@ -213,7 +205,7 @@ type Options struct {
 	// Factory is set.
 	Machine MachineKind
 	// Packed controls whether SolveParallel may sweep replicas 64-at-a-time
-	// through the bit-packed kernels. The zero value (PackedAuto) packs
+	// through the bit-packed kernels. The zero value (PackedOn) packs
 	// whenever eligible; packing never changes results. Single solves
 	// (replicas == 1) ignore it.
 	Packed PackedMode
@@ -233,11 +225,14 @@ type Options struct {
 	// Patience, when positive, stops the solve after this many consecutive
 	// iterations without an improvement of the best feasible cost.
 	Patience int
-	// Initial, when non-empty, warm-starts the solve: the first annealing
-	// run starts from this decision-bit assignment (slack bits completed
-	// greedily) instead of a random state, and — when the assignment is
-	// feasible — it also seeds the best-so-far, so the solve never returns
-	// a worse result than the warm start. Length must be Ext.NOrig.
+	// Initial, when non-empty and feasible, warm-starts the solve: the
+	// decision-bit assignment seeds every lane's best-so-far, so the solve
+	// never returns a worse result than it, and one that meets TargetCost
+	// ends the solve at 0 iterations. Every annealing run still starts
+	// from a random state: a warm solve runs the cold solve's trajectory,
+	// a sample replacing the seed (and firing Checkpoint) only when
+	// strictly better. An infeasible Initial changes nothing. Length must
+	// be Ext.NOrig.
 	Initial ising.Bits
 	// Checkpoint, when non-nil, is invoked whenever a new best feasible
 	// assignment is found, with the decision bits and their true cost.

@@ -200,8 +200,7 @@ func TestFeasibleRatio(t *testing.T) {
 
 // exactMachine is a Machine that returns the true argmin by enumeration —
 // it makes SAIM's outer loop deterministic so we can verify the λ dynamics
-// in isolation from annealing noise. It ignores its randomness source and
-// any installed state.
+// in isolation from annealing noise. It ignores its randomness source.
 type exactMachine struct {
 	model *ising.Model
 }
@@ -210,8 +209,7 @@ func (e *exactMachine) UpdateBiases(h vecmat.Vec) {
 	copy(e.model.H, h)
 }
 
-func (e *exactMachine) Reseed(*rng.Source)   {}
-func (e *exactMachine) SetState(ising.Spins) {}
+func (e *exactMachine) Reseed(*rng.Source) {}
 
 func (e *exactMachine) AnnealInto(dst ising.Spins, _ schedule.Schedule, _ int) {
 	n := e.model.N()
@@ -230,10 +228,6 @@ func (e *exactMachine) AnnealInto(dst ising.Spins, _ schedule.Schedule, _ int) {
 			copy(dst, s)
 		}
 	}
-}
-
-func (e *exactMachine) AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {
-	e.AnnealInto(dst, sched, sweeps)
 }
 
 // With an exact minimizer and small P < Pc, plain penalty minimization gets

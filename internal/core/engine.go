@@ -19,12 +19,8 @@ import (
 type lanes interface {
 	ReseedLane(r int, src *rng.Source)
 	UpdateLaneBiases(r int, h vecmat.Vec)
-	// SetAllLanesState installs one configuration on every lane.
-	SetAllLanesState(s ising.Spins)
-	// AnnealRun runs one annealing run on every lane from a random state;
-	// AnnealFromRun runs it from the lanes' current states.
+	// AnnealRun runs one annealing run on every lane from a random state.
 	AnnealRun(sched schedule.Schedule, sweeps int)
-	AnnealFromRun(sched schedule.Schedule, sweeps int)
 	LaneStateInto(dst ising.Spins, r int)
 	Close()
 }
@@ -41,16 +37,11 @@ func newOneLane(m Machine, n int) *oneLane {
 
 func (l *oneLane) ReseedLane(_ int, src *rng.Source)    { l.m.Reseed(src) }
 func (l *oneLane) UpdateLaneBiases(_ int, h vecmat.Vec) { l.m.UpdateBiases(h) }
-func (l *oneLane) SetAllLanesState(s ising.Spins)       { l.m.SetState(s) }
 func (l *oneLane) LaneStateInto(dst ising.Spins, _ int) { copy(dst, l.state) }
 func (l *oneLane) Close()                               {}
 
 func (l *oneLane) AnnealRun(sched schedule.Schedule, sweeps int) {
 	l.m.AnnealInto(l.state, sched, sweeps)
-}
-
-func (l *oneLane) AnnealFromRun(sched schedule.Schedule, sweeps int) {
-	l.m.AnnealFromInto(l.state, sched, sweeps)
 }
 
 // engine runs Algorithm 1 on a lanes kernel, all lanes in lockstep: per
@@ -176,13 +167,12 @@ func (e *engine) solve(ctx context.Context, seeds []uint64, results []*Result, t
 	remaining := count
 
 	// Warm start: a feasible initial assignment seeds every lane's
-	// best-so-far (no lane returns worse than it), and the first run
-	// continues from it instead of a random state. That run's first sweep
-	// is at β = 0 and redraws every spin from noise, so the installed
-	// state only changes the random stream (no randomizing draws).
-	warm := len(o.Initial) > 0
+	// best-so-far, so no lane returns worse than it, and one that meets the
+	// target ends the solve before its first run. The runs themselves are
+	// cold: a warm solve with seed s draws exactly the cold solve's
+	// stream, and a sample replaces the seed only when strictly better.
 	iters := o.Iterations
-	if warm && ext.Orig.Feasible(o.Initial, 1e-9) {
+	if len(o.Initial) > 0 && ext.Orig.Feasible(o.Initial, 1e-9) {
 		warmCost := pr.prob.Cost(o.Initial)
 		for _, res := range results {
 			res.BestCost = warmCost
@@ -198,16 +188,6 @@ func (e *engine) solve(ctx context.Context, seeds []uint64, results []*Result, t
 				onTarget()
 			}
 		}
-	}
-	if warm && remaining > 0 {
-		// Build the warm spin configuration once: the decision bits with
-		// greedily completed slacks. Every lane starts from it.
-		copy(e.x[:ext.NOrig], o.Initial)
-		for j := ext.NOrig; j < ext.NTotal; j++ {
-			e.x[j] = 0
-		}
-		ext.CompleteSlacks(e.x)
-		e.x.SpinsInto(e.spins)
 	}
 
 	for k := 0; k < iters && remaining > 0; k++ {
@@ -237,12 +217,7 @@ func (e *engine) solve(ctx context.Context, seeds []uint64, results []*Result, t
 
 		// One annealing run advances every lane together; the paper reads
 		// each run's last sample.
-		if k == 0 && warm {
-			e.kernel.SetAllLanesState(e.spins)
-			e.kernel.AnnealFromRun(pr.sched, o.SweepsPerRun)
-		} else {
-			e.kernel.AnnealRun(pr.sched, o.SweepsPerRun)
-		}
+		e.kernel.AnnealRun(pr.sched, o.SweepsPerRun)
 
 		// Sample, track, and update λ per active lane.
 		for r := 0; r < count; r++ {

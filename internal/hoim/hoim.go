@@ -273,6 +273,13 @@ type Options struct {
 	// Patience, when positive, stops the solve after this many consecutive
 	// iterations without an improvement of the best feasible cost.
 	Patience int
+	// Initial, when non-empty and feasible, seeds the best-so-far, and
+	// one that meets TargetCost ends the solve at 0 iterations. Every run
+	// still starts from a random state. Length must be f.N().
+	Initial ising.Bits
+	// Checkpoint, when non-nil, is invoked with the assignment and cost of
+	// every strict improvement of the best feasible cost.
+	Checkpoint func(best ising.Bits, cost float64)
 }
 
 func (o *Options) withDefaults() Options {
@@ -331,6 +338,9 @@ func SolveConstrainedContext(ctx context.Context, f *Poly, constraints []*Poly, 
 			return nil, fmt.Errorf("hoim: constraint %d over %d vars, objective over %d", k, g.N(), f.N())
 		}
 	}
+	if len(o.Initial) > 0 && len(o.Initial) != f.N() {
+		return nil, fmt.Errorf("hoim: initial assignment length %d, want %d", len(o.Initial), f.N())
+	}
 	// Static part: f + P Σ g².
 	static := f.Clone()
 	for _, g := range constraints {
@@ -344,7 +354,17 @@ func SolveConstrainedContext(ctx context.Context, f *Poly, constraints []*Poly, 
 	var sweeps int64
 	sinceImprove := 0
 
-	for k := 0; k < o.Iterations; k++ {
+	iters := o.Iterations
+	if len(o.Initial) > 0 && feasibleAt(constraints, o.Initial, tol) {
+		res.BestCost = f.Energy(o.Initial)
+		res.Best = o.Initial.Clone()
+		if o.TargetCost != nil && res.BestCost <= *o.TargetCost {
+			res.Stopped = core.StopTarget
+			iters = 0
+		}
+	}
+
+	for k := 0; k < iters; k++ {
 		if ctx.Err() != nil {
 			res.Stopped = core.StopCancelled
 			break
@@ -376,6 +396,9 @@ func SolveConstrainedContext(ctx context.Context, f *Poly, constraints []*Poly, 
 				res.BestCost = cost
 				res.Best = x.Clone()
 				sinceImprove = 0
+				if o.Checkpoint != nil {
+					o.Checkpoint(res.Best, cost)
+				}
 			}
 		}
 		if o.Progress != nil {
@@ -401,6 +424,17 @@ func SolveConstrainedContext(ctx context.Context, f *Poly, constraints []*Poly, 
 	res.TotalSweeps = sweeps
 	res.Lambda = lambda
 	return res, nil
+}
+
+// feasibleAt reports whether every constraint polynomial is within tol of
+// 0 at x.
+func feasibleAt(constraints []*Poly, x ising.Bits, tol float64) bool {
+	for _, g := range constraints {
+		if math.Abs(g.Energy(x)) > tol {
+			return false
+		}
+	}
+	return true
 }
 
 // Terms returns a copy of the polynomial's monomial list (constants appear

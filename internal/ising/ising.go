@@ -70,25 +70,14 @@ func (s Spins) BitsInto(dst Bits) {
 // Spins converts binary variables to spins via m = 2x-1.
 func (b Bits) Spins() Spins {
 	out := make(Spins, len(b))
-	b.SpinsInto(out)
-	return out
-}
-
-// SpinsInto writes the spin image of b into the caller-owned dst, the
-// allocation-free form of Spins. It panics on length mismatch.
-//
-//saim:hotpath
-func (b Bits) SpinsInto(dst Spins) {
-	if len(dst) != len(b) {
-		panic("ising: SpinsInto dimension mismatch")
-	}
 	for i, x := range b {
 		if x > 0 {
-			dst[i] = 1
+			out[i] = 1
 		} else {
-			dst[i] = -1
+			out[i] = -1
 		}
 	}
+	return out
 }
 
 // Clone returns a copy of b.

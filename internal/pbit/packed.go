@@ -85,10 +85,6 @@ type PackedKernel interface {
 	UpdateLaneBiases(r int, h vecmat.Vec)
 	// LaneStateInto copies lane r's current configuration into dst.
 	LaneStateInto(dst ising.Spins, r int)
-	// SetAllLanesState installs one configuration on every lane and
-	// recomputes fields (the warm-start path: every replica of a pooled
-	// solve warm-starts from the same assignment).
-	SetAllLanesState(s ising.Spins)
 	// Randomize draws a fresh uniform configuration per lane.
 	Randomize()
 	// Sweep runs one Monte-Carlo sweep of all 64 lanes, window by window
@@ -99,9 +95,6 @@ type PackedKernel interface {
 	// Machine.AnnealInto). The lane windows run concurrently and join
 	// once, before AnnealRun returns.
 	AnnealRun(sched schedule.Schedule, sweeps int)
-	// AnnealFromRun is AnnealRun from the current lane states, without
-	// re-randomizing (the warm-start path, cf. Machine.AnnealFromInto).
-	AnnealFromRun(sched schedule.Schedule, sweeps int)
 	// Close stops the goroutines the windows' concurrent runs use.
 	Close()
 }
@@ -184,7 +177,6 @@ type packedCore struct {
 	// while they run.
 	sched     schedule.Schedule
 	runSweeps int
-	fresh     bool
 	// start[j-1] hands window j a run. Its goroutine, started by the first
 	// concurrent run and kept until Close, signals wg when the run is done,
 	// so a solve starts k−1 goroutines, not k−1 per run, and dispatching a
@@ -296,26 +288,6 @@ func (c *packedCore) LaneStateInto(dst ising.Spins, r int) {
 	}
 }
 
-// SetAllLanesState installs one configuration on every lane and
-// recomputes the fields.
-func (c *packedCore) SetAllLanesState(s ising.Spins) {
-	if len(s) != c.n {
-		panic("pbit: SetAllLanesState dimension mismatch")
-	}
-	for j := range c.wins {
-		win := &c.wins[j]
-		all := ^uint64(0) >> (Lanes - win.w)
-		for i, v := range s {
-			if v == 1 {
-				win.states[i] = all
-			} else {
-				win.states[i] = 0
-			}
-		}
-		c.recomputeWin(win)
-	}
-}
-
 // Randomize draws a fresh uniform configuration per lane.
 func (c *packedCore) Randomize() {
 	for j := range c.wins {
@@ -341,20 +313,10 @@ func (c *packedCore) Sweep(beta float64) {
 }
 
 // AnnealRun runs one annealing run on every lane from a fresh random
-// start, the windows concurrently.
+// start: windows 1…k−1 on their goroutines, window 0 on the caller, then
+// one join.
 func (c *packedCore) AnnealRun(sched schedule.Schedule, sweeps int) {
-	c.run(sched, sweeps, true)
-}
-
-// AnnealFromRun continues annealing from the current lane states.
-func (c *packedCore) AnnealFromRun(sched schedule.Schedule, sweeps int) {
-	c.run(sched, sweeps, false)
-}
-
-// run executes one annealing run: windows 1…k−1 on their goroutines,
-// window 0 on the caller, then one join.
-func (c *packedCore) run(sched schedule.Schedule, sweeps int, fresh bool) {
-	c.sched, c.runSweeps, c.fresh = sched, sweeps, fresh
+	c.sched, c.runSweeps = sched, sweeps
 	if c.start == nil && len(c.wins) > 1 {
 		c.startWindows()
 	}
@@ -395,12 +357,10 @@ func (c *packedCore) Close() {
 	c.start = nil
 }
 
-// runWindow runs the current run's start and sweeps on one window.
+// runWindow runs the current run's random start and sweeps on one window.
 func (c *packedCore) runWindow(win *window) {
-	if c.fresh {
-		win.randomize()
-		c.recomputeWin(win)
-	}
+	win.randomize()
+	c.recomputeWin(win)
 	for t := 0; t < c.runSweeps; t++ {
 		c.sweepWin(win, c.sched.Beta(t, c.runSweeps))
 	}

@@ -21,7 +21,6 @@ func scalarFleet(model *ising.Model, seed uint64, sparse bool) []interface {
 	State() ising.Spins
 	Randomize()
 	Sweep(float64)
-	SetState(ising.Spins)
 	UpdateBiases(vecmat.Vec)
 } {
 	base := rng.New(seed)
@@ -29,7 +28,6 @@ func scalarFleet(model *ising.Model, seed uint64, sparse bool) []interface {
 		State() ising.Spins
 		Randomize()
 		Sweep(float64)
-		SetState(ising.Spins)
 		UpdateBiases(vecmat.Vec)
 	}, Lanes)
 	for r := range fleet {
@@ -89,7 +87,6 @@ func runDifferential(t *testing.T, pm packedAny, fleet []interface {
 	State() ising.Spins
 	Randomize()
 	Sweep(float64)
-	SetState(ising.Spins)
 	UpdateBiases(vecmat.Vec)
 }, scalarField func(m interface{}, i int) float64) {
 	t.Helper()
@@ -170,9 +167,10 @@ func TestPackedSparseMatchesScalarFleet(t *testing.T) {
 }
 
 // A concurrent AnnealRun (windows 1…k−1 on goroutines) must leave every
-// lane where its scalar twin's AnnealInto ends, and a following warm
-// AnnealFromRun where AnnealFromInto ends — for both kernels at every
-// window count. Under -race this is also the data-race check of the run.
+// lane where its scalar twin's AnnealInto ends, and a second run, which
+// starts from fresh random lanes, where the twin's second run ends — for
+// both kernels at every window count. Under -race this is also the
+// data-race check of the run.
 func TestPackedWindowedAnnealRunMatchesScalar(t *testing.T) {
 	sched := schedule.Linear{Start: 0.1, End: 3}
 	for _, c := range []struct {
@@ -193,16 +191,15 @@ func TestPackedWindowedAnnealRunMatchesScalar(t *testing.T) {
 			fleet := scalarFleet(c.model, 888, c.sparse)
 			n := c.model.N()
 			pm.AnnealRun(sched, 30)
-			pm.AnnealFromRun(sched, 10)
+			pm.AnnealRun(sched, 10)
 			pm.Close()
 			got, want := ising.NewSpins(n), ising.NewSpins(n)
 			for r, m := range fleet {
-				m.(interface {
+				anneal := m.(interface {
 					AnnealInto(ising.Spins, schedule.Schedule, int)
-				}).AnnealInto(want, sched, 30)
-				m.(interface {
-					AnnealFromInto(ising.Spins, schedule.Schedule, int)
-				}).AnnealFromInto(want, sched, 10)
+				}).AnnealInto
+				anneal(want, sched, 30)
+				anneal(want, sched, 10)
 				pm.LaneStateInto(got, r)
 				for i := range want {
 					if got[i] != want[i] {
@@ -488,41 +485,6 @@ func TestUpdateLaneBiasesMatchesScalar(t *testing.T) {
 		for r := 0; r < Lanes; r++ {
 			if drift := pm.LaneFieldConsistencyError(r); drift > 1e-9 {
 				t.Fatalf("%d windows: lane %d drift %v after bias reprogramming", k, r, drift)
-			}
-		}
-	}
-}
-
-// Warm start: installing one configuration on all lanes and continuing
-// must equal each scalar machine warm-started from the same state.
-func TestPackedWarmStartMatchesScalar(t *testing.T) {
-	model := randomModel(rng.New(37), 18)
-	start := ising.NewSpins(18)
-	for i := range start {
-		if i%3 == 0 {
-			start[i] = 1
-		} else {
-			start[i] = -1
-		}
-	}
-	sched := schedule.Linear{Start: 0.3, End: 2.5}
-	for _, k := range windowCounts {
-		pm := NewPackedWindows(model, rng.New(555), k)
-		fleet := scalarFleet(model, 555, false)
-		pm.SetAllLanesState(start)
-		for _, m := range fleet {
-			m.SetState(start)
-		}
-		pm.AnnealFromRun(sched, 25)
-		pm.Close()
-		got, ws := ising.NewSpins(18), ising.NewSpins(18)
-		for r, m := range fleet {
-			m.(*Machine).AnnealFromInto(ws, sched, 25)
-			pm.LaneStateInto(got, r)
-			for i := range ws {
-				if got[i] != ws[i] {
-					t.Fatalf("%d windows: lane %d spin %d: warm-start mismatch", k, r, i)
-				}
 			}
 		}
 	}

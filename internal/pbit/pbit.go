@@ -312,20 +312,6 @@ func (m *Machine) AnnealInto(dst ising.Spins, sched schedule.Schedule, sweeps in
 	copy(dst, m.state)
 }
 
-// AnnealFromInto is AnnealInto without the re-randomization: it continues
-// from the current state. Used by warm starts.
-//
-//saim:hotpath
-func (m *Machine) AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {
-	if len(dst) != m.N() {
-		panic("pbit: AnnealFromInto dimension mismatch")
-	}
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-	copy(dst, m.state)
-}
-
 // Energy returns the Hamiltonian energy of the current state under the
 // machine's (possibly reprogrammed) private biases.
 func (m *Machine) Energy() float64 {

@@ -10,23 +10,6 @@ import (
 	"github.com/ising-machines/saim/internal/vecmat"
 )
 
-// AnnealFromInto must continue from the current state, not re-randomize:
-// at β=∞-ish and zero sweeps it should leave the state untouched.
-func TestAnnealFromZeroSweepsKeepsState(t *testing.T) {
-	src := rng.New(41)
-	m := New(randomModel(src, 8), src.Split())
-	s := ising.NewSpins(8)
-	s[3] = 1
-	m.SetState(s)
-	out := ising.NewSpins(8)
-	m.AnnealFromInto(out, schedule.Constant{Value: 5}, 0)
-	for i := range s {
-		if out[i] != s[i] {
-			t.Fatal("AnnealFromInto(0 sweeps) changed state")
-		}
-	}
-}
-
 // AnnealInto must re-randomize: two consecutive anneals from the same machine
 // should (with overwhelming probability) not return identical states on a
 // frustrated model at low β.

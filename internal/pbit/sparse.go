@@ -244,20 +244,6 @@ func (m *SparseMachine) AnnealInto(dst ising.Spins, sched schedule.Schedule, swe
 	copy(dst, m.state)
 }
 
-// AnnealFromInto continues annealing from the current state (no
-// re-randomization), mirroring Machine.AnnealFromInto.
-//
-//saim:hotpath
-func (m *SparseMachine) AnnealFromInto(dst ising.Spins, sched schedule.Schedule, sweeps int) {
-	if len(dst) != m.n {
-		panic("pbit: AnnealFromInto dimension mismatch")
-	}
-	for t := 0; t < sweeps; t++ {
-		m.Sweep(sched.Beta(t, sweeps))
-	}
-	copy(dst, m.state)
-}
-
 // Energy returns the Hamiltonian energy of the current state.
 func (m *SparseMachine) Energy() float64 {
 	e := m.constant

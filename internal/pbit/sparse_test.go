@@ -131,3 +131,80 @@ func TestSparseSweepCounter(t *testing.T) {
 		t.Fatalf("Sweeps = %d", m.Sweeps())
 	}
 }
+
+func TestSparseSetStateCopiesAndRecomputes(t *testing.T) {
+	src := rng.New(103)
+	m := NewSparse(sparseModel(src, 12, 0.4), src.Split())
+	s := ising.NewSpins(12)
+	s[2] = 1
+	m.SetState(s)
+	s[3] = 1 // mutate caller's slice; machine must be unaffected
+	if m.State()[2] != 1 || m.State()[3] != -1 {
+		t.Fatal("SetState did not copy the caller's state")
+	}
+	if err := m.FieldConsistencyError(); err > 1e-12 {
+		t.Fatalf("SetState field drift %v", err)
+	}
+}
+
+func TestSparseSetStateRejectsWrongLength(t *testing.T) {
+	src := rng.New(107)
+	m := NewSparse(sparseModel(src, 4, 0.5), src.Split())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetState accepted wrong length")
+		}
+	}()
+	m.SetState(ising.NewSpins(5))
+}
+
+// pt installs states through SetState and sweeps them at each rung's
+// constant β. A cold sweep keeps the ground state it was handed; a sweep at
+// β = 0 decides every spin from its noise draw alone, so from any installed
+// state it lands where the same noise stream leads. The second half is why
+// an annealing run, whose first sweep is at β = 0, cannot feel a warm start.
+func TestSetStateShapesColdSweepsOnly(t *testing.T) {
+	const n = 64
+	model := ising.NewModel(n)
+	for i := 0; i < n; i++ {
+		model.J.Set(i, (i+1)%n, 1) // ferromagnetic ring: ±(1,…,1) are ground states
+	}
+	uniform := func(v int8) ising.Spins {
+		s := make(ising.Spins, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	type machine interface {
+		SetState(ising.Spins)
+		Reseed(*rng.Source)
+		Sweep(beta float64)
+		State() ising.Spins
+	}
+	for name, m := range map[string]machine{
+		"dense":  New(model, rng.New(1)),
+		"sparse": NewSparse(model, rng.New(1)),
+	} {
+		var hot [2]ising.Spins
+		for k, v := range []int8{1, -1} {
+			m.Reseed(rng.New(109))
+			m.SetState(uniform(v))
+			m.Sweep(50)
+			for i, s := range m.State() {
+				if s != v {
+					t.Fatalf("%s: β = 50 sweep moved spin %d of the installed %+d ground state", name, i, v)
+				}
+			}
+			m.Reseed(rng.New(113))
+			m.SetState(uniform(v))
+			m.Sweep(0)
+			hot[k] = m.State().Clone()
+		}
+		for i := range hot[0] {
+			if hot[0][i] != hot[1][i] {
+				t.Fatalf("%s: β = 0 sweeps from +1 and -1 states differ at spin %d", name, i)
+			}
+		}
+	}
+}

@@ -94,10 +94,14 @@ func TestCrossBackendOracle(t *testing.T) {
 }
 
 // TestDecomposedEqualsWholeSolve pins the decomposition meta-solver
-// against whole-problem solves on instances small enough to do both:
-// with exhaustive budgets all three — the whole solve, a decomposition
-// whose single block covers the model, and a genuinely decomposed solve
-// with narrow tabu-rotated blocks — must land on the same proven optimum.
+// against whole-problem solves on instances small enough to do both, over
+// Suite(1)–(3)'s twelve QUBOs and seeds 1–40. With exhaustive budgets the
+// whole solve and a decomposition whose single block covers the model
+// must land on the proven optimum on every pair. A genuinely decomposed
+// solve, narrow tabu-rotated blocks, stops at block-local optima: it must
+// never report a cost below the optimum, and it must reach it on at least
+// 85% of the pairs (it reached 441 of 480; the binomial deviation at that
+// rate is about 6 pairs).
 //
 // The pin covers the unconstrained form, where subproblem extraction is
 // exact (the frozen complement is a constant of the block). Constrained
@@ -106,41 +110,54 @@ func TestCrossBackendOracle(t *testing.T) {
 // an invariant; their soundness is enforced by TestCrossBackendOracle.
 func TestDecomposedEqualsWholeSolve(t *testing.T) {
 	ctx := context.Background()
-	for _, inst := range Suite(2) {
-		if !strings.HasPrefix(inst.Name, "qubo") {
-			continue
-		}
-		compiled, err := inst.Model.Compile()
-		if err != nil {
-			t.Fatalf("%s: compile: %v", inst.Name, err)
-		}
-		opt, _, _ := BruteForce(compiled)
-
-		whole, err := saim.SolveModel(ctx, "saim", compiled,
-			saim.WithSeed(3), saim.WithIterations(150), saim.WithSweepsPerRun(200))
-		if err != nil {
-			t.Fatalf("%s: whole solve: %v", inst.Name, err)
-		}
-		wide, err := saim.SolveModel(ctx, "decomp", compiled,
-			saim.WithSeed(3), saim.WithSubproblemSize(compiled.N()),
-			saim.WithIterations(60), saim.WithSweepsPerRun(200))
-		if err != nil {
-			t.Fatalf("%s: wide decomp: %v", inst.Name, err)
-		}
-		narrow, err := saim.SolveModel(ctx, "decomp", compiled,
-			saim.WithSeed(3), saim.WithSubproblemSize(5), saim.WithTabuTenure(1),
-			saim.WithIterations(60), saim.WithSweepsPerRun(200))
-		if err != nil {
-			t.Fatalf("%s: narrow decomp: %v", inst.Name, err)
-		}
-		for kind, res := range map[string]*saim.Result{"whole": whole, "wide": wide, "narrow": narrow} {
-			if res.Infeasible() {
-				t.Errorf("%s / %s: no feasible assignment", inst.Name, kind)
+	pairs, narrowHits := 0, 0
+	for _, suite := range []uint64{1, 2, 3} {
+		for _, inst := range Suite(suite) {
+			if !strings.HasPrefix(inst.Name, "qubo") {
 				continue
 			}
-			if math.Abs(res.Cost-opt) > 1e-9 {
-				t.Errorf("%s / %s: cost %v, proven optimum %v — decomposed and whole solves disagree with the oracle", inst.Name, kind, res.Cost, opt)
+			compiled, err := inst.Model.Compile()
+			if err != nil {
+				t.Fatalf("%s: compile: %v", inst.Name, err)
+			}
+			opt, _, _ := BruteForce(compiled)
+			for seed := uint64(1); seed <= 40; seed++ {
+				pairs++
+				whole, err := saim.SolveModel(ctx, "saim", compiled,
+					saim.WithSeed(seed), saim.WithIterations(150), saim.WithSweepsPerRun(200))
+				if err != nil {
+					t.Fatalf("%s: whole solve: %v", inst.Name, err)
+				}
+				wide, err := saim.SolveModel(ctx, "decomp", compiled,
+					saim.WithSeed(seed), saim.WithSubproblemSize(compiled.N()),
+					saim.WithIterations(60), saim.WithSweepsPerRun(200))
+				if err != nil {
+					t.Fatalf("%s: wide decomp: %v", inst.Name, err)
+				}
+				narrow, err := saim.SolveModel(ctx, "decomp", compiled,
+					saim.WithSeed(seed), saim.WithSubproblemSize(5), saim.WithTabuTenure(1),
+					saim.WithIterations(60), saim.WithSweepsPerRun(200))
+				if err != nil {
+					t.Fatalf("%s: narrow decomp: %v", inst.Name, err)
+				}
+				for kind, res := range map[string]*saim.Result{"whole": whole, "wide": wide} {
+					if res.Infeasible() || math.Abs(res.Cost-opt) > 1e-9 {
+						t.Errorf("%s seed %d / %s: cost %v, proven optimum %v", inst.Name, seed, kind, res.Cost, opt)
+					}
+				}
+				switch {
+				case narrow.Infeasible():
+					t.Errorf("%s seed %d / narrow: no feasible assignment", inst.Name, seed)
+				case narrow.Cost < opt-1e-9:
+					t.Errorf("%s seed %d / narrow: cost %v below the proven optimum %v", inst.Name, seed, narrow.Cost, opt)
+				case narrow.Cost <= opt+1e-9:
+					narrowHits++
+				}
 			}
 		}
+	}
+	t.Logf("narrow decomposition reached the optimum on %d of %d pairs", narrowHits, pairs)
+	if pairs != 480 || narrowHits*100 < 85*pairs {
+		t.Errorf("narrow decomposition reached the optimum on %d of %d pairs, want at least 85%% of 480", narrowHits, pairs)
 	}
 }

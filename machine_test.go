@@ -99,3 +99,11 @@ func TestReplicatedSolveStreamsProgress(t *testing.T) {
 		t.Fatalf("aggregate iteration high-water %d, want 24", lastSamples)
 	}
 }
+
+// Naming the default packed mode configures the same solve as naming
+// none, so the two option lists must fingerprint alike.
+func TestPackedOnFingerprintsLikeTheDefault(t *testing.T) {
+	if OptionsFingerprint(WithSeed(3)) != OptionsFingerprint(WithSeed(3), WithPackedReplicas(PackedOn)) {
+		t.Fatal("WithPackedReplicas(PackedOn) changed the options fingerprint")
+	}
+}

@@ -31,12 +31,10 @@ type PackedMode = core.PackedMode
 
 // Re-exported packed-replica modes.
 const (
-	// PackedAuto (the default) packs whenever a solve is eligible: no
-	// custom machine and at least 64 replicas. Packing never changes
-	// results — every packed lane reproduces the scalar replica with the
-	// same seed bit-for-bit — so auto mode affects throughput only.
-	PackedAuto = core.PackedAuto
-	// PackedOn packs every eligible solve.
+	// PackedOn (the default) packs whenever a solve is eligible: at
+	// least 64 replicas. Packing never changes results — every packed
+	// lane reproduces the scalar replica with the same seed bit-for-bit —
+	// so the mode affects throughput only.
 	PackedOn = core.PackedOn
 	// PackedOff forces one scalar machine per replica.
 	PackedOff = core.PackedOff
@@ -122,7 +120,7 @@ func WithMachine(k MachineKind) Option { return func(c *config) { c.machine = k 
 // WithPackedReplicas controls whether the saim backend's replica pool
 // (WithReplicas ≥ 64 on quadratic models) routes full 64-replica groups
 // through the bit-packed multi-spin kernels, which sweep 64 replicas per
-// coupling-row walk instead of one. PackedAuto (the default) packs
+// coupling-row walk instead of one. PackedOn (the default) packs
 // whenever eligible; PackedOff forces scalar per-replica machines. When
 // the pool has fewer groups and scalar replicas than GOMAXPROCS, each
 // group splits its 64 lanes into up to eight lane windows that anneal
@@ -170,8 +168,9 @@ func WithProgress(f func(Progress)) Option { return func(c *config) { c.progress
 // from several goroutines, each reporting its own replica's
 // improvements; synchronize and keep a best-cost guard if you aggregate.
 // The slice passed to f is freshly allocated per call and may be
-// retained. Honored by the saim and penalty backends; the service's
-// durable mode uses it to journal crash-recovery checkpoints.
+// retained. Honored by the saim backend on every model form and by the
+// penalty backend; the service's durable mode uses it to journal
+// crash-recovery checkpoints.
 func WithCheckpoint(f func(assignment []int, cost float64)) Option {
 	return func(c *config) { c.checkpoint = f }
 }
@@ -223,18 +222,19 @@ func WithRacers(names ...string) Option {
 }
 
 // WithInitial warm-starts the solve from the given assignment over the
-// decision variables (length N, entries 0/1). The saim and penalty
-// backends install it (slack bits completed greedily) as the state their
-// first annealing run continues from instead of a random one. Their β
-// schedule starts at 0, though, and at β = 0 the first sweep draws every
-// spin from noise alone, so the installed state does not shape that run:
-// for them the warm start acts only through the best-so-far and through
-// the random stream, which skips the draws of a random start. Parallel
+// decision variables (length N, entries 0/1). A feasible warm start seeds
+// the best-so-far, so the result is never worse than the assignment
+// supplied, and one that already meets WithTargetCost ends the solve at 0
+// iterations. For the saim backend (every model form) and the penalty
+// backend that is all it does: every annealing run starts from a random
+// state, as the β ramp from 0 would erase an installed one in its first
+// sweep, so a warm solve runs exactly the cold solve with the same seed,
+// a sample replacing the seed (and reaching WithCheckpoint) only when
+// strictly better. That holds for WithSweepsPerRun(1) too, although its
+// one sweep runs at βmax and could have felt an installed state. Parallel
 // tempering seeds its coldest replica; the GA injects the repaired
-// assignment into its initial population. In every case a feasible warm
-// start also seeds the best-so-far, so the result is never worse than the
-// assignment supplied. The greedy, exact, and high-order paths ignore it.
-// The slice is not retained or mutated.
+// assignment into its initial population. The greedy and exact backends
+// ignore it. The slice is not retained or mutated.
 func WithInitial(assignment []int) Option {
 	return func(c *config) { c.initial = append([]int(nil), assignment...) }
 }

@@ -23,9 +23,6 @@ type pinCase struct {
 	solver string
 	model  *saim.Model
 	opts   []saim.Option
-	// ties marks unconstrained saim solves, which may return a different
-	// assignment of the same cost than the golden (DESIGN.md §5).
-	ties bool
 }
 
 // pinCases enumerates the pinned solves: the penalty and saim backends on
@@ -65,7 +62,6 @@ func pinCases(t *testing.T) []pinCase {
 				model:  m,
 				opts: []saim.Option{saim.WithSeed(seed), saim.WithBetaMax(10),
 					saim.WithIterations(6), saim.WithSweepsPerRun(150)},
-				ties: true,
 			})
 		}
 	}
@@ -85,10 +81,8 @@ func budget(seed uint64, extra ...saim.Option) []saim.Option {
 
 // budgetCases pins one solver on one testkit model under two plain seeds,
 // a target, a warm start and, for constrained models, a patience stop.
-// Unconstrained saim results may tie (DESIGN.md §5).
 func budgetCases(prefix, solver string, m *saim.Model) []pinCase {
 	opt, _, _ := testkit.BruteForce(m)
-	constrained := m.Form() == saim.FormConstrained
 	var cases []pinCase
 	add := func(variant string, opts []saim.Option) {
 		cases = append(cases, pinCase{
@@ -96,7 +90,6 @@ func budgetCases(prefix, solver string, m *saim.Model) []pinCase {
 			solver: solver,
 			model:  m,
 			opts:   opts,
-			ties:   !constrained,
 		})
 	}
 	add("seed7", budget(7))
@@ -105,15 +98,14 @@ func budgetCases(prefix, solver string, m *saim.Model) []pinCase {
 	// the rounding of any one cost.
 	add("target", budget(9, saim.WithTargetCost(opt+0.5)))
 	add("warm", budget(10, saim.WithInitial(make([]int, m.N()))))
-	if constrained {
+	if m.Form() == saim.FormConstrained {
 		add("patience", budget(11, saim.WithPatience(6)))
 	}
 	return cases
 }
 
-// pinRecord renders a result as "name solver | assign | rest", where rest
-// holds every field besides the assignment.
-func pinRecord(c pinCase, res *saim.Result) (assign, rest string) {
+// pinRecord renders every field of a result as "assign | cost=… …".
+func pinRecord(res *saim.Result) string {
 	var b strings.Builder
 	for _, v := range res.Assignment {
 		b.WriteByte(byte('0' + v))
@@ -121,33 +113,30 @@ func pinRecord(c pinCase, res *saim.Result) (assign, rest string) {
 	if b.Len() == 0 {
 		b.WriteByte('-')
 	}
-	rest = fmt.Sprintf("cost=%s feas=%s pen=%s sweeps=%d iters=%d stopped=%v",
+	fmt.Fprintf(&b, " | cost=%s feas=%s pen=%s sweeps=%d iters=%d stopped=%v",
 		strconv.FormatFloat(res.Cost, 'g', -1, 64),
 		strconv.FormatFloat(res.FeasibleRatio, 'g', -1, 64),
 		strconv.FormatFloat(res.Penalty, 'g', -1, 64),
 		res.Sweeps, res.Iterations, res.Stopped)
-	return b.String(), rest
+	return b.String()
 }
 
 // TestPenaltyAndUnconstrainedPinned replays the seeded solves of pinCases
-// and compares each with testdata/pin.golden. Constrained results (penalty
-// and saim) must match bit for bit. Unconstrained saim results must match in everything but
-// the assignment, which may differ only by an equal-cost tie; any such
-// assignment must still evaluate to the recorded cost. Regenerate with
+// and compares each with testdata/pin.golden: every result, assignment
+// included, must match bit for bit. Regenerate with
 // go test -run TestPenaltyAndUnconstrainedPinned -update.
 func TestPenaltyAndUnconstrainedPinned(t *testing.T) {
 	path := filepath.Join("testdata", "pin.golden")
 	cases := pinCases(t)
 	var lines []string
-	got := map[string][2]string{}
+	got := map[string]string{}
 	for _, c := range cases {
 		res, err := saim.SolveModel(context.Background(), c.solver, c.model, c.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		assign, rest := pinRecord(c, res)
-		got[c.name] = [2]string{assign, rest}
-		lines = append(lines, fmt.Sprintf("%s %s | %s | %s", c.name, c.solver, assign, rest))
+		got[c.name] = pinRecord(res)
+		lines = append(lines, fmt.Sprintf("%s %s | %s", c.name, c.solver, got[c.name]))
 	}
 	if *updatePin {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -162,49 +151,26 @@ func TestPenaltyAndUnconstrainedPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][2]string{}
+	want := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		f := strings.SplitN(line, " | ", 3)
-		if len(f) != 3 {
+		head, rec, ok := strings.Cut(line, " | ")
+		if !ok {
 			t.Fatalf("malformed golden line %q", line)
 		}
-		name, _, _ := strings.Cut(f[0], " ")
-		want[name] = [2]string{f[1], f[2]}
+		name, _, _ := strings.Cut(head, " ")
+		want[name] = rec
 	}
 	if len(want) != len(cases) {
 		t.Fatalf("golden has %d cases, the test runs %d", len(want), len(cases))
 	}
-	ties := 0
 	for _, c := range cases {
 		w, ok := want[c.name]
 		if !ok {
 			t.Errorf("%s: not in the golden", c.name)
 			continue
 		}
-		g := got[c.name]
-		if g[1] != w[1] {
-			t.Errorf("%s %s: got %s, want %s", c.name, c.solver, g[1], w[1])
-			continue
+		if g := got[c.name]; g != w {
+			t.Errorf("%s %s: got %s, want %s", c.name, c.solver, g, w)
 		}
-		if g[0] == w[0] {
-			continue
-		}
-		if !c.ties {
-			t.Errorf("%s %s: assignment %s, want %s", c.name, c.solver, g[0], w[0])
-			continue
-		}
-		// An equal-cost tie: both assignments must evaluate to the cost.
-		for _, a := range []string{g[0], w[0]} {
-			x := make([]int, len(a))
-			for i := range a {
-				x[i] = int(a[i] - '0')
-			}
-			cost, _, err := c.model.Evaluate(x)
-			if err != nil || "cost="+strconv.FormatFloat(cost, 'g', -1, 64) != strings.Fields(w[1])[0] {
-				t.Errorf("%s: tie assignment %s evaluates to %v (%v), want %s", c.name, a, cost, err, strings.Fields(w[1])[0])
-			}
-		}
-		ties++
 	}
-	t.Logf("%d cases, %d equal-cost ties", len(cases), ties)
 }

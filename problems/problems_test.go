@@ -116,11 +116,7 @@ func TestMaxCutAgainstExhaustive(t *testing.T) {
 }
 
 func TestColoringEvenCycle(t *testing.T) {
-	g := problems.Graph{N: 8}
-	for i := 0; i < g.N; i++ {
-		g.Edges = append(g.Edges, problems.Edge{U: i, V: (i + 1) % g.N, W: 1})
-	}
-	p, err := problems.Coloring(g, 2)
+	p, err := problems.Coloring(cycle(8), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

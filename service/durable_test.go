@@ -155,10 +155,12 @@ func submittedData(t *testing.T, m interface{ MarshalJSON() ([]byte, error) }, s
 	return data
 }
 
-// TestRecoveryRequeuesAndCompletes simulates ROADMAP item 1's kill -9 at
-// the package level: a journal holding two non-finished jobs (one of
-// them mid-solve when the "crash" hit) must re-queue both, complete them
-// with valid results, and keep their ids resolvable and dedupable.
+// TestRecoveryRequeuesAndCompletes simulates, at the package level, the
+// kill -9 that CI's crash-recovery job (TestCrashRecoveryKill9 in
+// cmd/saimserve) delivers to a live process: a journal holding two
+// non-finished jobs (one of them mid-solve when the "crash" hit) must
+// re-queue both, complete them with valid results, and keep their ids
+// resolvable and dedupable.
 func TestRecoveryRequeuesAndCompletes(t *testing.T) {
 	dir := t.TempDir()
 	writeCrashJournal(t, dir, []wal.Record{
