@@ -13,10 +13,10 @@ import (
 	"time"
 )
 
-// TestClusterThroughputBenchPR8 measures aggregate submit→result
-// throughput at 1, 2, and 3 worker processes and writes BENCH_PR8.json
-// to the path named by SAIMSERVE_BENCH_PR8 (skipped when unset — this
-// is a minutes-long load test, not a unit test).
+// TestClusterThroughputBench measures aggregate submit→result throughput
+// at 1, 2, and 3 worker processes and writes a JSON report to the path
+// named by SAIMSERVE_CLUSTER_BENCH (skipped when unset — this is a
+// minutes-long load test, not a unit test).
 //
 // The methodology is weak scaling: every process brings its own pair of
 // closed-loop clients (submit → poll to completion → 150ms think time),
@@ -30,10 +30,10 @@ import (
 // stealing is disabled in the children — it is a load-imbalance rescue
 // with its own tests, and its probe round-trips are latency noise at
 // this job granularity.
-func TestClusterThroughputBenchPR8(t *testing.T) {
-	out := os.Getenv("SAIMSERVE_BENCH_PR8")
+func TestClusterThroughputBench(t *testing.T) {
+	out := os.Getenv("SAIMSERVE_CLUSTER_BENCH")
 	if out == "" {
-		t.Skip("set SAIMSERVE_BENCH_PR8=<output path> to run the cluster throughput bench")
+		t.Skip("set SAIMSERVE_CLUSTER_BENCH=<output path> to run the cluster throughput bench")
 	}
 	if testing.Short() {
 		t.Skip("cluster throughput bench skipped in -short mode")
@@ -61,8 +61,7 @@ func TestClusterThroughputBenchPR8(t *testing.T) {
 	}
 
 	report := map[string]any{
-		"pr":          8,
-		"description": "Cluster plane: coordinator/worker saimserve with fingerprint-sharded dedup and work-stealing",
+		"description": "Cluster plane: coordinator-free saimserve with fingerprint-sharded dedup and work-stealing",
 		"acceptance": map[string]any{
 			"target":                   "3-process aggregate submit->result throughput >= 2.5x single-node, same run",
 			"single_node_jobs_per_sec": round2(tput[1]),
@@ -71,7 +70,7 @@ func TestClusterThroughputBenchPR8(t *testing.T) {
 			"two_node_speedup":         round2(ratio2),
 			"three_node_speedup":       round2(ratio3),
 		},
-		"source":     "go test -run TestClusterThroughputBenchPR8 (weak scaling: 2 closed-loop clients per process with 150ms think time, dedup-eligible jobs routed to their fingerprint's ring owner)",
+		"source":     "go test -run TestClusterThroughputBench (weak scaling: 2 closed-loop clients per process with 150ms think time, dedup-eligible jobs routed to their fingerprint's ring owner)",
 		"goos":       runtime.GOOS,
 		"goarch":     runtime.GOARCH,
 		"cpu":        cpuModel(),

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -246,5 +248,41 @@ func TestClusterKillNodeE2E(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("node %s did not drain after SIGTERM", id)
 		}
+	}
+}
+
+// TestClusterFirstHeartbeatAtBoot launches one node at the default
+// -heartbeat (1 s) next to a loopback peer that counts its heartbeats:
+// the failure detector probes at start, so the first heartbeat arrives
+// well inside the first interval.
+func TestClusterFirstHeartbeatAtBoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-level cluster test skipped in -short mode")
+	}
+	var pings atomic.Int64
+	first := make(chan time.Time, 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cluster/ping" && pings.Add(1) == 1 {
+			first <- time.Now()
+		}
+		writeJSON(w, http.StatusOK, cluster.PingReply{ID: "b"})
+	}))
+	defer peer.Close()
+
+	port := freePorts(t, 1)[0]
+	peers := fmt.Sprintf("a=127.0.0.1:%d,b=%s", port, strings.TrimPrefix(peer.URL, "http://"))
+	cmd, _ := startChild(t, "-addr", fmt.Sprintf("127.0.0.1:%d", port), "-node-id", "a", "-peers", peers)
+	listening := time.Now()
+	defer func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	}()
+	select {
+	case at := <-first:
+		if wait := at.Sub(listening); wait > 300*time.Millisecond {
+			t.Fatalf("first heartbeat %v after the node listened, want within 300ms", wait)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no heartbeat within 10s of the node listening")
 	}
 }

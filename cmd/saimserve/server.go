@@ -289,8 +289,8 @@ func decodeModel(req submitRequest) (*model.Model, error) {
 }
 
 // submit enqueues one submission with its decoded model, mapping service
-// errors onto HTTP statuses (503 for backpressure/drain, 400 for bad
-// requests).
+// errors onto HTTP statuses (503 for backpressure/drain, 413 for a model
+// over the compile budget, 400 for other bad requests).
 func (s *server) submit(req submitRequest, m *model.Model) (*service.Job, int, error) {
 	// Options go through as wire options: the manager lowers them itself,
 	// so in durable mode they are journaled and survive a restart.
@@ -300,9 +300,12 @@ func (s *server) submit(req submitRequest, m *model.Model) (*service.Job, int, e
 		WireOptions: req.Options,
 		NoDedup:     req.NoDedup,
 	})
+	var tooLarge *service.ModelTooLargeError
 	switch {
 	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrClosed):
 		return nil, http.StatusServiceUnavailable, err
+	case errors.As(err, &tooLarge):
+		return nil, http.StatusRequestEntityTooLarge, err
 	case err != nil:
 		return nil, http.StatusBadRequest, err
 	}

@@ -306,6 +306,30 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
+// TestSubmitOverCompileBudgetIs413 pins the admission bound at the HTTP
+// edge: a 64-byte body declaring 100,000 variables, and a ten-variable
+// model whose 112 constraints compile 6,720 slack columns, are both over
+// service.MaxCompileBytes and answered 413 without a job.
+func TestSubmitOverCompileBudgetIs413(t *testing.T) {
+	ts, mgr := newTestServer(t, service.Config{Workers: 1})
+	cons := make([]string, 112)
+	for i := range cons {
+		cons[i] = fmt.Sprintf(`{"name":"c%d","sense":"<=","expr":{"lin":[{"v":0,"w":1}]},"bound":1e18}`, i)
+	}
+	for _, body := range []string{
+		`{"solver":"saim","model":{"families":[{"name":"x","n":100000}]}}`,
+		`{"solver":"saim","model":{"families":[{"name":"x","n":10}],"constraints":[` + strings.Join(cons, ",") + `]}}`,
+	} {
+		resp, out := post(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("over-budget model (%d-byte body): %d %s", len(body), resp.StatusCode, out)
+		}
+	}
+	if st := mgr.Stats(); st.Submitted != 0 {
+		t.Fatalf("refused models were submitted: %+v", st)
+	}
+}
+
 // TestStatuszEndpoint pins the observability surface: /statusz reports
 // the manager's counters as JSON.
 func TestStatuszEndpoint(t *testing.T) {

@@ -45,10 +45,10 @@ type PeerInfo struct {
 	LastSeen time.Time `json:"last_seen"`
 }
 
-// pingFunc probes one peer address, reporting whether it answered and
-// whether it is draining. Injected by Node so Membership needs no HTTP
-// knowledge of its own.
-type pingFunc func(ctx context.Context, addr string) (draining bool, err error)
+// pingFunc probes the peer configured as id at addr, reporting whether
+// that peer answered and whether it is draining. Injected by Node so
+// Membership needs no HTTP knowledge of its own.
+type pingFunc func(ctx context.Context, id, addr string) (draining bool, err error)
 
 // membershipConfig tunes the failure detector.
 type membershipConfig struct {
@@ -58,6 +58,7 @@ type membershipConfig struct {
 	suspect  time.Duration     // silence before Suspect
 	evict    time.Duration     // silence before Dead (ring eviction)
 	ping     pingFunc
+	clock    clock
 	// onChange runs after every sweep that changed the live set (the
 	// ring members: every peer not Dead), with the new set sorted.
 	onChange func(live []string)
@@ -106,7 +107,7 @@ func newMembership(cfg membershipConfig) *membership {
 		peers: make(map[string]*peerHealth, len(cfg.peers)),
 		live:  make(map[string]bool, len(cfg.peers)),
 	}
-	now := time.Now()
+	now := m.cfg.clock.Now()
 	for id, addr := range cfg.peers {
 		m.peers[id] = &peerHealth{addr: addr, lastSeen: now}
 		m.live[id] = true
@@ -114,21 +115,36 @@ func newMembership(cfg membershipConfig) *membership {
 	return m
 }
 
-// start launches the heartbeat loop.
+// joinSweeps is how many sweeps the join window packs into the first
+// interval after start.
+const joinSweeps = 8
+
+// start launches the heartbeat loop. It sweeps at once, then every
+// interval/8 until one interval has passed (the join window), then every
+// interval; each probe times out at the cadence it runs at. A peer that
+// binds its listener after the first sweep is heard within interval/8,
+// so a cluster booted together converges in an eighth of an interval
+// whatever its boot order, and the steady probe rate is unchanged.
 func (m *membership) start() {
 	ctx, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		ticker := time.NewTicker(m.cfg.interval)
+		step := max(m.cfg.interval/joinSweeps, 1)
+		begin := m.cfg.clock.Now()
+		ticker := m.cfg.clock.NewTicker(step)
 		defer ticker.Stop()
 		for {
+			m.sweep(ctx, step)
 			select {
 			case <-ctx.Done():
 				return
-			case <-ticker.C:
-				m.sweep(ctx)
+			case <-ticker.C():
+			}
+			if step < m.cfg.interval && m.cfg.clock.Now().Sub(begin) >= m.cfg.interval {
+				step = m.cfg.interval
+				ticker.Reset(step)
 			}
 		}
 	}()
@@ -142,15 +158,16 @@ func (m *membership) stop() {
 	m.wg.Wait()
 }
 
-// sweep heartbeats every peer concurrently, then re-derives the live set
-// and fires onChange if it moved.
-func (m *membership) sweep(ctx context.Context) {
+// sweep heartbeats every peer concurrently, each probe timing out after
+// timeout, then re-derives the live set and fires onChange if it moved.
+func (m *membership) sweep(ctx context.Context, timeout time.Duration) {
 	m.mu.Lock()
 	type probe struct{ id, addr string }
 	probes := make([]probe, 0, len(m.peers))
+	now := m.cfg.clock.Now()
 	for id, p := range m.peers {
 		if id == m.cfg.self {
-			p.lastSeen = time.Now()
+			p.lastSeen = now
 			continue
 		}
 		probes = append(probes, probe{id, p.addr})
@@ -162,15 +179,15 @@ func (m *membership) sweep(ctx context.Context) {
 		wg.Add(1)
 		go func(pr probe) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, m.cfg.interval)
+			pctx, cancel := context.WithDeadline(ctx, now.Add(timeout))
 			defer cancel()
-			draining, err := m.cfg.ping(pctx, pr.addr)
+			draining, err := m.cfg.ping(pctx, pr.id, pr.addr)
 			if err != nil {
 				return // silence is the signal; lastSeen just ages
 			}
 			m.mu.Lock()
 			if p := m.peers[pr.id]; p != nil {
-				p.lastSeen = time.Now()
+				p.lastSeen = m.cfg.clock.Now()
 				p.draining = draining
 			}
 			m.mu.Unlock()
@@ -187,7 +204,7 @@ func (m *membership) sweep(ctx context.Context) {
 func (m *membership) reportFailure(id string) {
 	m.mu.Lock()
 	if p := m.peers[id]; p != nil && id != m.cfg.self {
-		if aged := time.Now().Add(-m.cfg.suspect); p.lastSeen.After(aged) {
+		if aged := m.cfg.clock.Now().Add(-m.cfg.suspect); p.lastSeen.After(aged) {
 			p.lastSeen = aged
 		}
 	}
@@ -212,7 +229,7 @@ func (m *membership) stateOf(p *peerHealth, now time.Time) PeerState {
 // onChange when it differs from the last published set.
 func (m *membership) publish() {
 	m.mu.Lock()
-	now := time.Now()
+	now := m.cfg.clock.Now()
 	live := make([]string, 0, len(m.peers))
 	changed := false
 	seen := make(map[string]bool, len(m.peers))
@@ -241,7 +258,7 @@ func (m *membership) publish() {
 func (m *membership) snapshot() []PeerInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := time.Now()
+	now := m.cfg.clock.Now()
 	out := make([]PeerInfo, 0, len(m.peers))
 	for id, p := range m.peers {
 		state := PeerAlive
@@ -272,5 +289,5 @@ func (m *membership) isUsable(id string) bool {
 	if id == m.cfg.self {
 		return true
 	}
-	return m.stateOf(p, time.Now()) != PeerDead && !p.draining
+	return m.stateOf(p, m.cfg.clock.Now()) != PeerDead && !p.draining
 }

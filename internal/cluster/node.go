@@ -28,9 +28,11 @@ type Config struct {
 	// VirtualNodes is the ring vnode count per member (default
 	// DefaultVirtualNodes).
 	VirtualNodes int
-	// HeartbeatInterval paces the failure detector (default 1s); peers
-	// silent for 3 intervals turn Suspect, for 6 they are evicted from
-	// the ring. SuspectAfter/EvictAfter override those multiples.
+	// HeartbeatInterval paces the failure detector (default 1s): it
+	// probes at Start, every interval/8 during the first interval, then
+	// every interval. Peers silent for 3 intervals turn Suspect, for 6
+	// they are evicted from the ring. SuspectAfter/EvictAfter override
+	// those multiples.
 	HeartbeatInterval time.Duration
 	SuspectAfter      time.Duration
 	EvictAfter        time.Duration
@@ -54,6 +56,7 @@ type Node struct {
 	mem    *membership
 	client *Client
 	mgr    *service.Manager
+	clk    clock
 
 	draining atomic.Bool
 	started  time.Time
@@ -73,7 +76,10 @@ type Node struct {
 
 // New validates the configuration and builds the node (call Start to
 // launch heartbeats and stealing).
-func New(cfg Config) (*Node, error) {
+func New(cfg Config) (*Node, error) { return newNode(cfg, wallClock{}) }
+
+// newNode is New on the given clock.
+func newNode(cfg Config, clk clock) (*Node, error) {
 	if cfg.Manager == nil {
 		return nil, fmt.Errorf("cluster: Config.Manager is required")
 	}
@@ -105,7 +111,8 @@ func New(cfg Config) (*Node, error) {
 		ring:    NewRing(cfg.VirtualNodes),
 		client:  NewClient(0),
 		mgr:     cfg.Manager,
-		started: time.Now(),
+		clk:     clk,
+		started: clk.Now(),
 	}
 	n.mem = newMembership(membershipConfig{
 		self:     cfg.Self,
@@ -113,9 +120,20 @@ func New(cfg Config) (*Node, error) {
 		interval: cfg.HeartbeatInterval,
 		suspect:  cfg.SuspectAfter,
 		evict:    cfg.EvictAfter,
-		ping: func(ctx context.Context, addr string) (bool, error) {
+		clock:    clk,
+		// A reply from another node id (a stale -peers entry, or a port
+		// another node took over after a restart) is not a heartbeat
+		// from the configured peer: it counts as silence.
+		ping: func(ctx context.Context, id, addr string) (bool, error) {
 			reply, err := n.client.Ping(ctx, addr)
-			return reply.Draining, err
+			if err != nil {
+				return false, err
+			}
+			if reply.ID != id {
+				n.cfg.Logf("cluster: %s answered as %q, not peer %s; counted as silence", addr, reply.ID, id)
+				return false, fmt.Errorf("cluster: %s answered as %q, not %q", addr, reply.ID, id)
+			}
+			return reply.Draining, nil
 		},
 		onChange: func(live []string) {
 			n.ring.Reset(live)
@@ -234,7 +252,7 @@ func (n *Node) NoteRelay() { n.ctr.relays.Add(1) }
 // over. The victim keeps the job's identity; this node only lends CPU.
 func (n *Node) stealLoop(ctx context.Context) {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.cfg.StealInterval)
+	ticker := n.clk.NewTicker(n.cfg.StealInterval)
 	defer ticker.Stop()
 	// Rotate the probe order deterministically so one victim is not
 	// hammered by every tick (seeded-randomness discipline: no ambient
@@ -250,7 +268,7 @@ func (n *Node) stealLoop(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-ticker.C:
+		case <-ticker.C():
 		}
 		if n.draining.Load() {
 			continue

@@ -1,9 +1,42 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/ising-machines/saim/internal/constraint"
+)
 
 // NumConstraints returns the number of declared constraints.
 func (m *Model) NumConstraints() int { return len(m.cons) }
+
+// Columns returns the number of binary columns Compile lowers the model
+// onto: the declared variables plus the slack bits each ≤ and ≥
+// constraint gains under the binary encoding (constraint.SlackCoeffs of
+// its folded bound, or of its surplus range Σa − b), counted from the
+// constraints' bounds and coefficients without building anything dense.
+// Compile's dense matrices grow with its square.
+func (m *Model) Columns() int {
+	n := m.vars
+	for _, c := range m.cons {
+		bound := c.bound - c.expr.c
+		switch c.sense {
+		case LE:
+			n += len(constraint.SlackCoeffs(bound, constraint.Binary))
+		case GE:
+			// The surplus range constraint.Extend encodes: the positive
+			// merged coefficients, summed in variable order, less the bound.
+			lin, _, _ := c.expr.canonical()
+			s := -bound
+			for _, t := range lin {
+				if t.w > 0 {
+					s += t.w
+				}
+			}
+			n += len(constraint.SlackCoeffs(max(s, 0), constraint.Binary))
+		}
+	}
+	return n
+}
 
 // Maximizing reports whether the objective was declared with Maximize.
 func (m *Model) Maximizing() bool { return m.max }

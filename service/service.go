@@ -77,6 +77,29 @@ var ErrQuarantined = errors.New("service: job quarantined")
 // worker.
 var ErrDeadlineExpired = errors.New("service: time limit expired while queued")
 
+// MaxCompileBytes is the dense compile budget of one submission. Compile
+// holds about 24·N² bytes for a model on N columns (Model.Columns: the
+// declared variables plus the slack bits of its ≤ and ≥ constraints), so
+// 1 GiB admits up to 6,688 columns. Submit refuses a model over it with a
+// *ModelTooLargeError before fingerprinting or queueing it.
+const MaxCompileBytes = 1 << 30
+
+// ModelTooLargeError is Submit's refusal of a model whose dense compile
+// would exceed MaxCompileBytes.
+type ModelTooLargeError struct {
+	// Columns is the model's declared variables plus slack columns.
+	Columns int
+}
+
+func (e *ModelTooLargeError) Error() string {
+	return fmt.Sprintf("service: model compiles onto %d columns, about %.3g bytes dense, over the %d-byte budget",
+		e.Columns, compileBytes(e.Columns), MaxCompileBytes)
+}
+
+// compileBytes is the dense footprint of a compile onto n columns, in
+// floating point so that no column count overflows it.
+func compileBytes(n int) float64 { return 24 * float64(n) * float64(n) }
+
 // Config sizes a Manager. Zero values take the documented defaults.
 type Config struct {
 	// Workers is the solve concurrency (default GOMAXPROCS).
@@ -289,7 +312,8 @@ func dedupKey(req Request, limit time.Duration) (string, error) {
 // job may be shared with earlier identical submissions (its Status.Hits
 // counts them) or already finished (served from cache). ErrQueueFull
 // reports backpressure; ErrClosed a draining manager; ErrQuarantined a
-// request whose dedup key was poisoned by repeated solver panics.
+// request whose dedup key was poisoned by repeated solver panics; a
+// *ModelTooLargeError a model over MaxCompileBytes.
 func (m *Manager) Submit(req Request) (*Job, error) {
 	if req.Model == nil {
 		return nil, fmt.Errorf("service: request has no model")
@@ -299,6 +323,9 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 	if err := req.Model.Err(); err != nil {
 		return nil, err
+	}
+	if n := req.Model.Columns(); compileBytes(n) > MaxCompileBytes {
+		return nil, &ModelTooLargeError{Columns: n}
 	}
 	// A request whose configuration is entirely wire-encodable (its only
 	// options are the WireOptions lowered below) can be re-created on
